@@ -1,8 +1,9 @@
 // Golden partition digests: ordered digests of the two case studies'
 // partitions on a small fixed input at 16 ranks, recorded before the
-// engine's grouping and distribute sorts moved onto the radix path. Every
-// engine knob (sort engine, page format, a spilling memory budget) must
-// reproduce the recorded bytes in the recorded order.
+// engine's grouping and distribute sorts moved onto the radix path, plus a
+// radix-scale run of the hybrid-cut input at 4 ranks. Every engine knob
+// (sort engine, page format, a spilling memory budget) must reproduce the
+// recorded bytes in the recorded order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "core/workflow.hpp"
 #include "graph/generator.hpp"
 #include "graph/papar_hybrid.hpp"
+#include "obs/obs.hpp"
 #include "schema/input_config.hpp"
 #include "util/hash.hpp"
 #include "xml/xml.hpp"
@@ -74,25 +76,31 @@ Workload hybrid_cut() {
           {{"edges.txt", graph::to_edge_list_text(g)}}};
 }
 
-core::PartitionResult run(const Workload& w, const core::EngineOptions& options) {
+core::PartitionResult run(const Workload& w, const core::EngineOptions& options, int ranks,
+                          obs::Recorder* recorder = nullptr) {
   core::WorkflowEngine engine(
       core::parse_workflow(xml::parse(w.workflow_xml)),
       {{w.spec_id, schema::parse_input_spec(xml::parse(w.spec_xml))}}, w.args, options);
-  mp::Runtime runtime(16, mp::NetworkModel::zero(), options.scheduler);
+  mp::Runtime runtime(ranks, mp::NetworkModel::zero(), options.scheduler);
+  runtime.set_recorder(recorder);
   return engine.run(runtime, w.files);
 }
 
-/// Runs `w` under every knob combination that must not change partitions
-/// and checks each against `golden`. `spills` says whether the budgeted run
-/// is large enough per rank to reach the disk-spill paths.
-void expect_golden(const Workload& w, std::uint64_t golden, bool spills) {
+/// Runs `w` on `ranks` ranks under every knob combination that must not
+/// change partitions and checks each against `golden`. `spills` says whether
+/// the budgeted run is large enough per rank to reach the disk-spill paths.
+/// Returns the number of local sorts the default run dispatched to radix.
+std::uint64_t expect_golden(const Workload& w, std::uint64_t golden, bool spills,
+                            int ranks = 16) {
+  obs::Recorder recorder;
+  EXPECT_EQ(ordered_digest(run(w, {}, ranks, &recorder).partitions), golden) << "defaults";
   for (const auto engine : {sortlib::SortEngine::kAuto, sortlib::SortEngine::kMergesort,
                             sortlib::SortEngine::kRadix}) {
     for (const auto pages : {mr::PageFormat::kFramed, mr::PageFormat::kColumnar}) {
       core::EngineOptions options;
       options.sort_engine = engine;
       options.pages = pages;
-      EXPECT_EQ(ordered_digest(run(w, options).partitions), golden)
+      EXPECT_EQ(ordered_digest(run(w, options, ranks).partitions), golden)
           << "engine=" << sortlib::sort_engine_name(engine)
           << " pages=" << mr::page_format_name(pages);
     }
@@ -108,12 +116,13 @@ void expect_golden(const Workload& w, std::uint64_t golden, bool spills) {
   core::EngineOptions budgeted;
   budgeted.mem_budget = std::size_t{128} << 10;
   budgeted.spill_dir = dir.string();
-  const auto governed = run(w, budgeted);
+  const auto governed = run(w, budgeted, ranks);
   if (spills) {
     EXPECT_GT(governed.report.memory.spill_bytes, 0u);
   }
   EXPECT_EQ(ordered_digest(governed.partitions), golden) << "budgeted";
   std::filesystem::remove_all(dir);
+  return recorder.counter("sort.engine_radix");
 }
 
 TEST(GoldenDigest, BlastCyclic16Ranks) {
@@ -122,6 +131,16 @@ TEST(GoldenDigest, BlastCyclic16Ranks) {
 
 TEST(GoldenDigest, HybridCut16Ranks) {
   expect_golden(hybrid_cut(), 10908799992355334269ULL, /*spills=*/true);
+}
+
+// At 4 ranks each rank holds ~15K edges, past sortlib::kRadixAutoCutoff,
+// so the default run's grouping and distribute sorts take the radix path;
+// at 16 ranks they stay below it. Partitions do not depend on the rank
+// count, so the digest equals the 16-rank one.
+TEST(GoldenDigest, HybridCutRadixScale4Ranks) {
+  EXPECT_GT(expect_golden(hybrid_cut(), 10908799992355334269ULL, /*spills=*/true,
+                          /*ranks=*/4),
+            0u);
 }
 
 }  // namespace
