@@ -1,8 +1,8 @@
 // Machine-readable before/after benchmark records.
 //
-// tools/run_bench measures each workload under a "before" knob (the code
-// path this PR replaced, kept alive behind a switch) and an "after" knob
-// (the current default), several repeats each, and commits the medians as
+// tools/run_bench measures each workload under a "before" knob and an
+// "after" knob (two configurations the engine still runs, e.g. forced-scalar
+// vs vector sort kernels), several repeats each, and commits the medians as
 // BENCH_<workload>.json at the repo root. Later PRs rerun the driver and
 // diff against the committed files, so the perf trajectory of the hot
 // paths is part of history rather than folklore.
@@ -14,9 +14,9 @@
 //     "repeats": 5,
 //     "entries": [
 //       {
-//         "name": "merge_phase.1M_u64.4t",
-//         "before": "sequential loser tree",
-//         "after": "splitter-partitioned parallel merge",
+//         "name": "simd_networks.1M_u64.4t",
+//         "before": "scalar networks + scalar merge",
+//         "after": "vector kernels (avx2)",
 //         "before_median_s": 0.0231,
 //         "after_median_s": 0.0142,
 //         "speedup": 1.63,

@@ -18,6 +18,11 @@ namespace papar::core {
 
 namespace {
 
+/// Checkpoint retention: in-memory blobs of all but the newest this many
+/// complete stages are released as the job advances (recovery only ever
+/// restores the latest complete stage).
+constexpr int kCheckpointKeepLast = 2;
+
 std::string lower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(),
@@ -416,9 +421,9 @@ PartitionResult WorkflowEngine::run(
   std::unique_ptr<mr::CheckpointStore> ckpt;
   if (runtime.fault_injector() != nullptr) {
     ckpt = std::make_unique<mr::CheckpointStore>(nranks, options_.checkpoint_dir);
-    // Recovery only restores the latest complete stage; older blobs are
-    // released as the job advances so long workflows stay bounded.
-    if (options_.ckpt_keep_last > 0) ckpt->set_keep_last(options_.ckpt_keep_last);
+    // Older blobs are released as the job advances so long workflows stay
+    // bounded.
+    ckpt->set_keep_last(kCheckpointKeepLast);
   }
 
   // Memory governance: a non-zero budget attaches a MemoryBudget for the
@@ -466,7 +471,6 @@ PartitionResult WorkflowEngine::run(
   if (options_.telemetry || !options_.telemetry_stream.empty() ||
       !options_.flight_rec_dir.empty()) {
     obs::TelemetryOptions topt;
-    topt.interval = options_.telemetry_interval;
     topt.stream_path = options_.telemetry_stream;
     sampler = std::make_unique<obs::TelemetrySampler>(topt);
     runtime.set_sampler(sampler.get());
@@ -497,13 +501,6 @@ PartitionResult WorkflowEngine::run(
     }
     runtime.set_recovery(std::move(ropts));
   }
-
-  // Install the run's sort-engine and shuffle wire-format knobs as the
-  // process-wide defaults for the run's duration (every rank thread shares
-  // the process, so sender and receiver always agree); the scopes restore
-  // the previous defaults on exit, exceptions included.
-  sortlib::SortEngineScope sort_scope(options_.sort_engine);
-  mr::PageFormatScope pages_scope(options_.pages);
 
   auto body = [&](mp::Comm& comm) {
     // Stage labels feed both the causal tracer and the memory budget's

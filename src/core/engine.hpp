@@ -22,25 +22,15 @@
 #include "core/operators.hpp"
 #include "core/registry.hpp"
 #include "core/workflow.hpp"
-#include "mapreduce/columnar.hpp"
 #include "mpsim/runtime.hpp"
 #include "obs/obs.hpp"
 #include "schema/input_config.hpp"
-#include "sortlib/sort.hpp"
 
 namespace papar::core {
 
 struct EngineOptions {
   /// Reducer range-splitter selection for sort jobs (§III-D sampling).
   mr::SplitterMethod splitter = mr::SplitterMethod::kSampled;
-  /// Local sort engine for the run (--sort=auto|merge|radix): installed as
-  /// the process-wide default for the run's duration. kAuto dispatches on
-  /// key type and input size (sortlib/sort.hpp).
-  sortlib::SortEngine sort_engine = sortlib::SortEngine::kAuto;
-  /// Shuffle wire format for the run (--pages=framed|columnar): columnar
-  /// batches ship one key column + one value column per destination with
-  /// fixed-stride size elision; partitions are byte-identical either way.
-  mr::PageFormat pages = mr::PageFormat::kFramed;
   /// CSC compression of packed groups (§III-D compression).
   bool compress_packed = false;
   /// Where stage checkpoints additionally spill to disk. Checkpointing
@@ -50,10 +40,6 @@ struct EngineOptions {
   /// only the interrupted stage. Checkpoint files from a clean run are
   /// removed on engine exit; a failed run keeps them for post-mortem.
   std::string checkpoint_dir;
-  /// Checkpoint retention: in-memory blobs of all but the newest K
-  /// complete stages are released as the job advances (recovery only ever
-  /// restores the latest complete stage). 0 keeps everything.
-  int ckpt_keep_last = 2;
   /// Per-rank hard budget on tracked working bytes (parse with
   /// parse_byte_size; 0 = ungoverned). Non-zero attaches a MemoryBudget to
   /// the runtime for the run: the soft watermark sits at 80% of the hard
@@ -86,8 +72,6 @@ struct EngineOptions {
   /// samples per rank plus the error text are dumped to <dir>/flight.json
   /// for offline replay with `papar_top` before the error is rethrown.
   std::string flight_rec_dir;
-  /// Minimum virtual seconds between samples of one rank.
-  double telemetry_interval = 1e-3;
   /// Crash-recovery strategy (--recovery=stage|local, DESIGN.md §16).
   /// kStage re-executes the interrupted stage on every rank (the behavior
   /// described at checkpoint_dir above). kLocal repairs a fail-stop crash

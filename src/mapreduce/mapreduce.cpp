@@ -5,7 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "mapreduce/columnar.hpp"
 #include "mapreduce/spill.hpp"
 #include "sortlib/radix.hpp"
 #include "sortlib/sort.hpp"
@@ -54,8 +53,10 @@ bool tie_less(TieBreak tie, const KvPair& a, const KvPair& b) {
       return a.key < b.key;
     case TieBreak::kValue:
       return a.value < b.value;
-    case TieBreak::kKeyValue:
-      return a.key != b.key ? a.key < b.key : a.value < b.value;
+    case TieBreak::kKeyValue: {
+      const int by_key = a.key.compare(b.key);
+      return by_key != 0 ? by_key < 0 : a.value < b.value;
+    }
   }
   return false;
 }
@@ -134,33 +135,6 @@ void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
   const int p = comm_->size();
   const std::uint64_t routed = page_.count();
 
-  if (comm_->network().copy_payloads) {
-    // Measured "before" baseline (see NetworkModel::copy_payloads): the
-    // pre-arena shuffle re-serialized every record individually into fresh
-    // per-destination buffers. Kept verbatim so tools/run_bench can A/B the
-    // whole shuffle path, not just the mailbox copy.
-    std::vector<KvBuffer> outgoing(static_cast<std::size_t>(p));
-    page_.for_each([&](std::string_view k, std::string_view v) {
-      const int dest = route(KvPair{k, v});
-      PAPAR_CHECK_MSG(dest >= 0 && dest < p, "partitioner returned an invalid rank");
-      outgoing[static_cast<std::size_t>(dest)].add(k, v);
-    });
-    page_.clear();
-    std::vector<std::vector<unsigned char>> send;
-    send.reserve(static_cast<std::size_t>(p));
-    for (auto& buf : outgoing) send.push_back(buf.take_bytes());
-    if (obs::Recorder* rec = comm_->recorder()) {
-      std::uint64_t bytes = 0;
-      for (const auto& b : send) bytes += b.size();
-      rec->add_counter("mr.shuffle.records", routed);
-      rec->add_counter("mr.shuffle.bytes", bytes);
-      rec->add_counter("mr.shuffle.wire_bytes", bytes);
-    }
-    auto received = comm_->alltoallv(std::move(send));
-    for (const auto& part : received) page_.append_page(part.data(), part.size());
-    return;
-  }
-
   // Sizing pass: run the routing function exactly once per record (it may
   // be stateful — sample_sort's tie spreader is), cache the destination,
   // and accumulate exact per-destination byte counts.
@@ -174,90 +148,46 @@ void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
         route_cache_.push_back(dest);
         dest_bytes[static_cast<std::size_t>(dest)] += framed.size();
       });
+  obs::Recorder* rec = comm_->recorder();
+  if (rec != nullptr) rec->add_counter("mr.shuffle.records", routed);
 
   // Credit-governed runtimes take the segmented path: many bounded
   // segments per destination instead of one page-sized buffer per rank,
   // so neither the send side nor any mailbox ever holds the whole stage.
   if (budget_ != nullptr && budget_->config().mailbox_limit > 0) {
-    if (obs::Recorder* rec = comm_->recorder()) {
-      std::uint64_t bytes = 0;
-      for (std::size_t b : dest_bytes) bytes += b;
-      rec->add_counter("mr.shuffle.records", routed);
-      rec->add_counter("mr.shuffle.bytes", bytes);
-    }
     shuffle_segmented(dest_bytes);
     return;
   }
 
-  // Fill pass. The destination pages come from the arena — storage
-  // recycled from the previous shuffle's received buffers — so
-  // steady-state aggregate() loops allocate nothing per call.
-  // With a (non-credit) budget attached, the arena counts as tracked
-  // working memory: a stage that cannot fit fails typed, not OOM. The
-  // framed byte totals drive the charge under both wire formats (for
-  // columnar they bound the batch working set from above).
-  BudgetScope arena_scope(
-      budget_, comm_->rank(),
-      [&dest_bytes] {
-        std::size_t total = 0;
-        for (std::size_t b : dest_bytes) total += b;
-        return total;
-      }());
-  const PageFormat format = default_page_format();
+  // Fill pass: bulk-copy each framed record into its destination page. The
+  // pages come from the arena — storage recycled from the previous
+  // shuffle's received buffers — so steady-state aggregate() loops
+  // allocate nothing per call. With a (non-credit) budget attached, the
+  // arena counts as tracked working memory: a stage that cannot fit fails
+  // typed, not OOM.
+  std::size_t total_bytes = 0;
+  for (const std::size_t b : dest_bytes) total_bytes += b;
+  BudgetScope arena_scope(budget_, comm_->rank(), total_bytes);
   arena_.resize(static_cast<std::size_t>(p));
-  if (format == PageFormat::kColumnar) {
-    // Columnar fill: accumulate each destination's records column-wise and
-    // encode one batch per rank — fixed-stride size columns collapse to a
-    // single u32, so uniform records shed the 8-byte per-record framing.
-    std::vector<ColumnarWriter> writers(static_cast<std::size_t>(p));
-    std::size_t i = 0;
-    page_.for_each_record(
-        [&](std::span<const unsigned char>, std::string_view k, std::string_view v) {
-          writers[static_cast<std::size_t>(route_cache_[i++])].add(k, v);
-        });
-    page_.clear();
-    for (int r = 0; r < p; ++r) {
-      auto& buf = arena_[static_cast<std::size_t>(r)];
-      buf.clear();
-      writers[static_cast<std::size_t>(r)].finish_into(buf);
-    }
-  } else {
-    // Framed fill: bulk-copy each framed record into its destination page.
-    for (int r = 0; r < p; ++r) {
-      auto& buf = arena_[static_cast<std::size_t>(r)];
-      buf.clear();
-      buf.reserve(dest_bytes[static_cast<std::size_t>(r)]);
-    }
-    std::size_t i = 0;
-    page_.for_each_record(
-        [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
-          auto& buf = arena_[static_cast<std::size_t>(route_cache_[i++])];
-          buf.insert(buf.end(), framed.begin(), framed.end());
-        });
-    page_.clear();
+  for (int r = 0; r < p; ++r) {
+    auto& buf = arena_[static_cast<std::size_t>(r)];
+    buf.clear();
+    buf.reserve(dest_bytes[static_cast<std::size_t>(r)]);
   }
-
-  if (obs::Recorder* rec = comm_->recorder()) {
-    std::uint64_t bytes = 0;
-    for (std::size_t b : dest_bytes) bytes += b;
-    std::uint64_t wire = 0;
-    for (const auto& buf : arena_) wire += buf.size();
-    rec->add_counter("mr.shuffle.records", routed);
-    rec->add_counter("mr.shuffle.bytes", bytes);
-    // Actual fabric payload under the selected wire format; the saving of
-    // columnar over framed is (bytes - wire_bytes).
-    rec->add_counter("mr.shuffle.wire_bytes", wire);
-  }
+  std::size_t i = 0;
+  page_.for_each_record(
+      [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
+        auto& buf = arena_[static_cast<std::size_t>(route_cache_[i++])];
+        buf.insert(buf.end(), framed.begin(), framed.end());
+      });
+  page_.clear();
+  if (rec != nullptr) rec->add_counter("mr.shuffle.wire_bytes", total_bytes);
 
   // Ownership-transfer shuffle: the arena pages move into the destination
   // mailboxes uncopied; the buffers received back become the next
   // shuffle's arena storage.
   auto received = comm_->alltoallv(std::move(arena_));
-  if (format == PageFormat::kColumnar) {
-    for (const auto& part : received) append_columnar(page_, part.data(), part.size());
-  } else {
-    for (const auto& part : received) page_.append_page(part.data(), part.size());
-  }
+  for (const auto& part : received) page_.append_page(part.data(), part.size());
   arena_ = std::move(received);
   for (auto& buf : arena_) buf.clear();
 }
@@ -333,16 +263,8 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   // Fill-and-stream pass. The p open segment buffers (≤ p * chunk bytes,
   // about a quarter of the soft watermark) are this path's tracked
   // transient; received segments replace the source page byte-for-byte.
-  // Under the columnar wire format each segment carries one columnar batch
-  // after the header; the greedy cut still runs on framed record sizes, so
-  // segment boundaries — and therefore the announced totals above — are
-  // identical to the framed stream's.
-  const bool columnar = default_page_format() == PageFormat::kColumnar;
-  std::vector<ColumnarWriter> writers(columnar ? static_cast<std::size_t>(p) : 0);
-  std::vector<std::size_t> framed_fill(columnar ? static_cast<std::size_t>(p) : 0, 0);
   std::vector<std::vector<unsigned char>> seg(static_cast<std::size_t>(p));
   std::vector<std::uint32_t> seq_no(static_cast<std::size_t>(p), 0);
-  std::uint64_t wire_bytes = 0;
   auto start_segment = [&](std::size_t d) {
     auto& b = seg[d];
     b.clear();
@@ -362,11 +284,6 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) start_segment(d);
   mp::Envelope env;
   auto flush_segment = [&](std::size_t d) {
-    if (columnar) {
-      writers[d].finish_into(seg[d]);
-      framed_fill[d] = 0;
-    }
-    wire_bytes += seg[d].size() - kSegHeader;
     comm_->shuffle_send(static_cast<int>(d), std::move(seg[d]));
     ++seq_no[d];
     start_segment(d);
@@ -376,34 +293,28 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   };
   std::size_t i = 0;
   page_.for_each_record(
-      [&](std::span<const unsigned char> framed, std::string_view k, std::string_view v) {
+      [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
         const auto d = static_cast<std::size_t>(route_cache_[i++]);
-        if (columnar) {
-          if (framed_fill[d] > 0 && framed_fill[d] + framed.size() > chunk) {
-            flush_segment(d);
-          }
-          writers[d].add(k, v);
-          framed_fill[d] += framed.size();
-        } else {
-          auto& b = seg[d];
-          if (b.size() > kSegHeader && b.size() - kSegHeader + framed.size() > chunk) {
-            flush_segment(d);
-          }
-          b.insert(b.end(), framed.begin(), framed.end());
+        auto& b = seg[d];
+        if (b.size() > kSegHeader && b.size() - kSegHeader + framed.size() > chunk) {
+          flush_segment(d);
         }
+        b.insert(b.end(), framed.begin(), framed.end());
       });
   // Free the source page before the final sends: the peak is then open
   // segments + received store, never + the outgoing page as well.
   { auto old = page_.take_bytes(); }
   for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) {
-    if (columnar) writers[d].finish_into(seg[d]);
-    wire_bytes += seg[d].size() - kSegHeader;
     comm_->shuffle_send(static_cast<int>(d), std::move(seg[d]));
     while (open > 0 && comm_->try_shuffle_recv(done, env)) note_segment(env);
   }
   seg.clear();
   seg.shrink_to_fit();
+  // Counted after the last send, so a rank that crashes mid-stream and
+  // replays counts the stream once.
   if (obs::Recorder* rec = comm_->recorder()) {
+    std::uint64_t wire_bytes = 0;
+    for (const std::size_t b : dest_bytes) wire_bytes += b;
     rec->add_counter("mr.shuffle.wire_bytes", wire_bytes);
   }
 
@@ -424,11 +335,7 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   // the monolithic alltoallv result — freeing each segment as it lands.
   for (auto& source_segs : store) {
     for (auto& part : source_segs) {
-      if (columnar) {
-        append_columnar(page_, part.data(), part.size());
-      } else {
-        page_.append_page(part.data(), part.size());
-      }
+      page_.append_page(part.data(), part.size());
       part = std::vector<unsigned char>();
     }
     source_segs.clear();
@@ -536,10 +443,7 @@ void MapReduce::sort_by_key(const SortKeyFn& key, TieBreak tie) {
 
 std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, TieBreak tie) {
   const std::size_t n = page_.count();
-  const sortlib::SortEngine engine = sortlib::default_sort_engine();
-  const bool want_radix =
-      engine == sortlib::SortEngine::kRadix ||
-      (engine == sortlib::SortEngine::kAuto && n >= sortlib::kRadixAutoCutoff);
+  const bool want_radix = n >= sortlib::kRadixAutoCutoff;
   struct Entry {
     SortKey key;
     std::size_t off;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mapreduce/checkpoint.hpp"
-#include "mapreduce/columnar.hpp"
 #include "mapreduce/kvbuffer.hpp"
 #include "mpsim/comm.hpp"
 
@@ -112,12 +111,11 @@ class MapReduce {
       const std::function<bool(const KvPair&, const KvPair&)>& less);
 
   /// The engine's local sort: stable order by the fixed-width `key`, equal
-  /// keys ordered by `tie`. Takes the LSD radix path over a contiguous
-  /// {key, offset} column when the process-wide SortEngine allows it
-  /// (kAuto at or past sortlib::kRadixAutoCutoff records, or kRadix),
-  /// byte-identical to the comparator stable sort that kMergesort and
-  /// smaller pages take; a rank whose page copy would cross its budget's
-  /// soft watermark sorts externally (runs spill to disk) instead.
+  /// keys ordered by `tie`. Pages of at least sortlib::kRadixAutoCutoff
+  /// records take the LSD radix path over a contiguous {key, offset}
+  /// column, byte-identical to the comparator stable sort smaller pages
+  /// take; a rank whose page copy would cross its budget's soft watermark
+  /// sorts externally (runs spill to disk) instead.
   void sort_by_key(const SortKeyFn& key, TieBreak tie);
 
   /// Global sort: after the call, records are ordered by `proj` within each
@@ -165,7 +163,7 @@ class MapReduce {
   /// instead of one monolithic page, draining incoming segments between
   /// sends so mailbox credits keep circulating. Requires route_cache_ to
   /// be filled by the sizing pass. `dest_bytes` is per-destination
-  /// payload bytes (observability counters only).
+  /// payload bytes (they size the segments and the tracked charge).
   void shuffle_segmented(const std::vector<std::size_t>& dest_bytes);
 
   /// sort_by_key's order without moving records: the page's record offsets

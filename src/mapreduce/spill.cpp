@@ -245,8 +245,8 @@ SpillStats external_stable_sort(
     }
 
     // Streaming k-way merge. Linear min-scan with strict-less replacement:
-    // on ties the lowest run index wins, the same rule sortlib's LoserTree
-    // uses, which is exactly what stability requires.
+    // on ties the lowest run index wins, which is exactly what stability
+    // requires.
     std::vector<RunReader> readers;
     readers.reserve(runs.size());
     for (const Run& r : runs) readers.emplace_back(file, r.begin, r.end);

@@ -8,10 +8,10 @@
 //    stable_sort(offsets) + KvBuffer::reorder. Consecutive page chunks of
 //    at most `run_bytes` are stable-sorted and written to a temp file as
 //    sorted runs, the source page is freed, and a streaming k-way merge
-//    rebuilds the page. Ties resolve to the lowest run index — the same
-//    rule as sortlib's LoserTree — which, with runs cut from consecutive
-//    page spans, makes the result byte-identical to the in-memory
-//    stable sort while never holding two full copies of the page.
+//    rebuilds the page. Ties resolve to the lowest run index, which, with
+//    runs cut from consecutive page spans, makes the result byte-identical
+//    to the in-memory stable sort while never holding two full copies of
+//    the page.
 //
 //  - RewriteSpool: bounded-memory sink for phases that rewrite the page
 //    record-by-record (map_kv, reduce). Emitted records accumulate in an

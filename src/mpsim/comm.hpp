@@ -192,8 +192,7 @@ class Comm {
   /// primitive. Payloads are handed off by ownership transfer — each buffer
   /// moves into the destination rank's mailbox and out to the receiver
   /// untouched, so shuffled bytes are never copied by the runtime (the
-  /// virtual network model still charges the fabric cost; set
-  /// NetworkModel::copy_payloads to restore the copying baseline).
+  /// virtual network model still charges the fabric cost).
   std::vector<std::vector<unsigned char>> alltoallv(
       std::vector<std::vector<unsigned char>> send_bufs);
 

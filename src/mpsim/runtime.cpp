@@ -512,13 +512,17 @@ struct Shared {
                         std::size_t mb_bytes, std::size_t mb_msgs,
                         std::size_t credits);
 
-  /// Records one sample of `rank`, reading its own mailbox briefly.
-  /// Callers must hold no mailbox or barrier lock.
+  /// Records one sample of `rank` under its mailbox lock. Callers must
+  /// hold no mailbox or barrier lock.
   void telemetry_sample_self(int rank, double vtime, int state);
 
   /// Observer-side sweep over all ranks (parked ranks included), stamping
   /// each with its last known virtual clock. Runs from the watchdog /
-  /// fiber idle poll with no caller locks held.
+  /// fiber idle poll with no caller locks held. Each rank's state is read
+  /// and recorded under that rank's mailbox lock, the lock its own samples
+  /// take too; since a rank declares its terminal state before it records
+  /// its terminal sample, a sweep can never append a stale pre-termination
+  /// state after that sample.
   void telemetry_scan();
 
   /// The threaded watchdog's / fiber idle poll's combined duty: deadlock
@@ -754,36 +758,23 @@ void Shared::telemetry_record(int rank, double vtime, int state,
 
 void Shared::telemetry_sample_self(int rank, double vtime, int state) {
   auto& mb = mailboxes[static_cast<std::size_t>(rank)];
-  std::size_t bytes, msgs, credits;
-  {
-    std::lock_guard<std::mutex> lock(mb.mutex);
-    bytes = mb.queued_bytes;
-    msgs = mb.queue.size();
-    credits = mb.credit_grants;
-  }
-  telemetry_record(rank, vtime, state, bytes, msgs, credits);
+  std::lock_guard<std::mutex> lock(mb.mutex);
+  telemetry_record(rank, vtime, state, mb.queued_bytes, mb.queue.size(), mb.credit_grants);
 }
 
 void Shared::telemetry_scan() {
   obs::TelemetrySampler* smp = sampler;
   if (smp == nullptr) return;
   for (int r = 0; r < size; ++r) {
+    auto& mb = mailboxes[static_cast<std::size_t>(r)];
+    std::lock_guard<std::mutex> lock(mb.mutex);
     const int st = status[static_cast<std::size_t>(r)].state.load(
         std::memory_order_acquire);
     // A parked rank's clock is frozen; stamp its last known virtual time
     // so the sweep refreshes state without inventing progress.
     const double vt = smp->last_vtime(r);
     if (!smp->due(r, vt, static_cast<obs::RankActivity>(st))) continue;
-    auto& mb = mailboxes[static_cast<std::size_t>(r)];
-    std::size_t bytes, msgs, credits;
-    {
-      std::lock_guard<std::mutex> lock(mb.mutex);
-      bytes = mb.queued_bytes;
-      msgs = mb.queue.size();
-      credits = mb.credit_grants;
-    }
-    // Record outside the mailbox lock so the ring mutex stays a leaf.
-    telemetry_record(r, vt, st, bytes, msgs, credits);
+    telemetry_record(r, vt, st, mb.queued_bytes, mb.queue.size(), mb.credit_grants);
   }
 }
 
@@ -1092,11 +1083,6 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     }
   }
   if (shared_->local_recovery()) ++sent_counts_[{dest, tag}];
-  if (shared_->network.copy_payloads) {
-    // Benchmark baseline: re-materialize the buffer so the sender burns the
-    // same memcpy the copying handoff did.
-    payload = std::vector<unsigned char>(payload.begin(), payload.end());
-  }
   const std::size_t n = payload.size();
   const bool remote = dest != rank_;
   const double send_begin = vtime_;  // before any fault-layer retry charges
@@ -1950,10 +1936,10 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
             ev.end = comm.vtime_;
             tracer->record(r, ev);
           }
+          shared_->declare_terminated(r, detail::kDone, comm.vtime_);
           if (shared_->sampler != nullptr) {
             shared_->telemetry_sample_self(r, comm.vtime_, detail::kDone);
           }
-          shared_->declare_terminated(r, detail::kDone, comm.vtime_);
         } catch (const RankCrashedError&) {
           // Localized recovery: a revivable crash never left this rank —
           // peers saw nothing (fault_comm_event skipped the kFailed
@@ -1964,18 +1950,18 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
             continue;
           }
           errors[static_cast<std::size_t>(r)] = std::current_exception();
+          shared_->declare_terminated(r, detail::kFailed, comm.vtime_);
           if (shared_->sampler != nullptr) {
             shared_->telemetry_sample_self(r, comm.vtime_, detail::kFailed);
           }
-          shared_->declare_terminated(r, detail::kFailed, comm.vtime_);
         } catch (...) {
           errors[static_cast<std::size_t>(r)] = std::current_exception();
-          if (shared_->sampler != nullptr) {
-            shared_->telemetry_sample_self(r, comm.vtime_, detail::kFailed);
-          }
           // Crash paths already declared; anything else terminates here so
           // peers blocked on this rank unwind instead of hanging.
           shared_->declare_terminated(r, detail::kFailed, comm.vtime_);
+          if (shared_->sampler != nullptr) {
+            shared_->telemetry_sample_self(r, comm.vtime_, detail::kFailed);
+          }
         }
         return;
       }

@@ -1,12 +1,10 @@
-// Two-way merge, loser-tree k-way merge, and a splitter-partitioned
-// parallel multiway merge.
+// Two-way merge and a splitter-partitioned parallel multiway merge.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -56,91 +54,6 @@ template <typename T, typename Less>
 void merge_runs(const T* first, const T* mid, const T* last, T* out, Less&& less) {
   merge_two(first, mid, mid, last, out, less);
 }
-
-/// Loser tree over k sorted runs: pop() yields the globally smallest head in
-/// O(log k) comparisons. Ties resolve to the lower run index, so a merge of
-/// stable runs ordered by origin stays stable.
-template <typename T, typename Less>
-class LoserTree {
- public:
-  LoserTree(std::vector<std::span<const T>> runs, Less less)
-      : runs_(std::move(runs)),
-        less_(less),
-        pos_(runs_.size(), 0),
-        k_(runs_.size()),
-        tree_(runs_.size(), kExhausted) {
-    PAPAR_CHECK_MSG(k_ >= 1, "loser tree needs at least one run");
-    // Bottom-up build: leaves live at conceptual indices k..2k-1; each
-    // internal node stores the loser of its subtree and forwards the winner.
-    std::vector<std::size_t> winner_at(2 * k_, kExhausted);
-    for (std::size_t i = 0; i < k_; ++i) {
-      winner_at[k_ + i] = runs_[i].empty() ? kExhausted : i;
-    }
-    for (std::size_t node = k_ - 1; node >= 1; --node) {
-      const std::size_t l = winner_at[2 * node];
-      const std::size_t r = winner_at[2 * node + 1];
-      if (run_wins(l, r)) {
-        winner_at[node] = l;
-        tree_[node] = r;
-      } else {
-        winner_at[node] = r;
-        tree_[node] = l;
-      }
-      if (node == 1) break;
-    }
-    winner_ = winner_at[1];
-  }
-
-  bool empty() const { return winner_ == kExhausted; }
-
-  std::size_t remaining() const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < k_; ++i) n += runs_[i].size() - pos_[i];
-    return n;
-  }
-
-  /// Removes and returns the smallest remaining element.
-  T pop() {
-    PAPAR_CHECK_MSG(!empty(), "pop() on an exhausted loser tree");
-    const std::size_t run = winner_;
-    T value = runs_[run][pos_[run]];
-    ++pos_[run];
-    replay(run);
-    return value;
-  }
-
- private:
-  static constexpr std::size_t kExhausted = std::numeric_limits<std::size_t>::max();
-
-  /// True if run `a`'s head should be delivered before run `b`'s head.
-  bool run_wins(std::size_t a, std::size_t b) const {
-    if (a == kExhausted) return false;
-    if (b == kExhausted) return true;
-    const T& va = runs_[a][pos_[a]];
-    const T& vb = runs_[b][pos_[b]];
-    if (less_(va, vb)) return true;
-    if (less_(vb, va)) return false;
-    return a < b;
-  }
-
-  /// Replays run `run` from its leaf to the root; internal nodes keep the
-  /// loser, the winner bubbles to the top.
-  void replay(std::size_t run) {
-    std::size_t candidate = pos_[run] < runs_[run].size() ? run : kExhausted;
-    for (std::size_t node = (run + k_) / 2; node >= 1; node /= 2) {
-      if (run_wins(tree_[node], candidate)) std::swap(tree_[node], candidate);
-      if (node == 1) break;
-    }
-    winner_ = candidate;
-  }
-
-  std::vector<std::span<const T>> runs_;
-  Less less_;
-  std::vector<std::size_t> pos_;
-  std::size_t k_ = 0;
-  std::vector<std::size_t> tree_;  // index 0 unused
-  std::size_t winner_ = kExhausted;
-};
 
 // -- Splitter-partitioned parallel multiway merge ----------------------------
 
@@ -383,10 +296,10 @@ void multiway_merge_impl(std::vector<std::span<const T>> runs, std::span<T> out,
 /// strictly inside job-private windows, with a pool barrier in between.
 ///
 /// The output is identical to a sequential stable k-way merge that resolves
-/// ties by run index (LoserTree): slicing every run at lower_bound of the
-/// same splitter keeps each group of mutually-equal elements inside one job,
-/// and the in-job bottom-up pairwise merges (merge_runs: ties take the left
-/// run) realize the same run-order tie-break.
+/// ties by run index: slicing every run at lower_bound of the same splitter
+/// keeps each group of mutually-equal elements inside one job, and the
+/// in-job bottom-up pairwise merges (merge_runs: ties take the left run)
+/// realize the same run-order tie-break.
 template <typename T, typename Less>
 void parallel_multiway_merge(std::vector<std::span<const T>> runs, std::span<T> out,
                              Less less, ThreadPool& pool, std::size_t jobs = 0,

@@ -15,11 +15,10 @@
 //    (merge.hpp) straight into the caller's buffer; or dispatches the whole
 //    input to radix when the key type allows it (SortEngine below).
 //
-// Engine selection (SortEngine): kAuto consults the process-wide default
-// (set_default_sort_engine, wired to the --sort CLI knob); a kAuto default
-// auto-dispatches integral keys of at least kRadixAutoCutoff elements to
-// radix and everything else to mergesort. Float/double spans use radix only
-// when pinned explicitly (their normalized key order refines operator<;
+// Engine selection (SortEngine): kAuto dispatches integral keys of at least
+// kRadixAutoCutoff elements to radix and everything else to mergesort;
+// kMergesort and kRadix pin one engine for a call. Float/double spans use
+// radix only when pinned (their normalized key order refines operator<;
 // see radix.hpp). The decision and the SIMD level actually used are
 // reported in SortBreakdown and surface as papar_sort_* metrics in the
 // engine layer.
@@ -33,12 +32,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -55,26 +51,13 @@ namespace papar::sortlib {
 inline constexpr std::size_t kNetworkBlock = 8;
 
 /// Integral inputs at least this large auto-dispatch to the radix engine
-/// when the effective SortEngine is kAuto.
+/// under SortEngine::kAuto.
 inline constexpr std::size_t kRadixAutoCutoff = 8192;
-
-/// How parallel_sort combines the independently sorted chunks.
-enum class MergeAlgo {
-  /// Splitter-partitioned parallel multiway merge: each pool thread merges
-  /// one value range of the output directly into its final destination
-  /// offset (the default).
-  kParallelSplitter,
-  /// The pre-parallel-merge behavior: a single-threaded loser tree popping
-  /// into the output. Kept as the measured "before" of tools/run_bench and
-  /// for A/B tests.
-  kSequentialLoserTree,
-};
 
 /// Which algorithm family parallel_sort runs.
 enum class SortEngine {
-  /// Resolve through the process default; if that is also kAuto, dispatch
-  /// on key type and input size (integral keys >= kRadixAutoCutoff go to
-  /// radix, everything else to mergesort).
+  /// Dispatch on key type and input size: integral keys >= kRadixAutoCutoff
+  /// go to radix, everything else to mergesort.
   kAuto,
   /// Network-leaf mergesort + multiway merge (any type, any comparator).
   kMergesort,
@@ -82,59 +65,6 @@ enum class SortEngine {
   /// specialization and the comparator is the default ascending order,
   /// otherwise the call falls back to mergesort.
   kRadix,
-};
-
-namespace sort_detail {
-inline std::atomic<SortEngine>& default_engine_slot() {
-  static std::atomic<SortEngine> engine{SortEngine::kAuto};
-  return engine;
-}
-}  // namespace sort_detail
-
-/// Process-wide default consulted when parallel_sort is called with
-/// SortEngine::kAuto (the --sort=auto|merge|radix knob lands here).
-inline SortEngine default_sort_engine() {
-  return sort_detail::default_engine_slot().load(std::memory_order_relaxed);
-}
-inline void set_default_sort_engine(SortEngine engine) {
-  sort_detail::default_engine_slot().store(engine, std::memory_order_relaxed);
-}
-
-inline const char* sort_engine_name(SortEngine engine) {
-  switch (engine) {
-    case SortEngine::kMergesort:
-      return "merge";
-    case SortEngine::kRadix:
-      return "radix";
-    case SortEngine::kAuto:
-      break;
-  }
-  return "auto";
-}
-
-/// Parses the --sort knob value ("auto" | "merge" | "radix").
-inline SortEngine parse_sort_engine(std::string_view name) {
-  if (name == "auto") return SortEngine::kAuto;
-  if (name == "merge") return SortEngine::kMergesort;
-  if (name == "radix") return SortEngine::kRadix;
-  throw ConfigError("unknown sort engine `" + std::string(name) +
-                    "` (expected auto, merge, or radix)");
-}
-
-/// Installs a process-wide default engine for its lifetime and restores the
-/// previous default on exit (workflow runs scope the --sort knob this way).
-class SortEngineScope {
- public:
-  explicit SortEngineScope(SortEngine engine) : prev_(default_sort_engine()) {
-    set_default_sort_engine(engine);
-  }
-  ~SortEngineScope() { set_default_sort_engine(prev_); }
-
-  SortEngineScope(const SortEngineScope&) = delete;
-  SortEngineScope& operator=(const SortEngineScope&) = delete;
-
- private:
-  SortEngine prev_;
 };
 
 /// True when (T, Less) may legally take the radix path: fixed-width
@@ -158,14 +88,13 @@ inline constexpr bool radix_compatible =
 struct SortBreakdown {
   double chunk_sort_seconds = 0.0;
   /// Cross-chunk merge wall time (splitter partitioning + parallel merge
-  /// passes, or the whole sequential loser-tree merge).
+  /// passes).
   double merge_seconds = 0.0;
-  /// Of merge_seconds, the sequential splitter sampling + run slicing
-  /// (0 for the loser-tree algorithm).
+  /// Of merge_seconds, the sequential splitter sampling + run slicing.
   double merge_partition_seconds = 0.0;
   std::size_t chunks = 0;
-  /// Independent jobs of the parallel merge (1 for the loser tree; 0 when
-  /// no cross-chunk merge ran).
+  /// Independent jobs of the parallel merge (0 when no cross-chunk merge
+  /// ran).
   std::size_t merge_jobs = 0;
   /// The engine that actually ran (never kAuto).
   SortEngine engine_used = SortEngine::kMergesort;
@@ -293,11 +222,9 @@ void merge_sort(std::span<T> data, Less less) {
 template <typename T, typename Less>
 void parallel_sort(std::span<T> data, Less less, ThreadPool& pool,
                    SortBreakdown* breakdown = nullptr,
-                   MergeAlgo algo = MergeAlgo::kParallelSplitter,
                    SortEngine engine = SortEngine::kAuto) {
   WallTimer timer;
   const std::size_t n = data.size();
-  if (engine == SortEngine::kAuto) engine = default_sort_engine();
   if (breakdown != nullptr) *breakdown = SortBreakdown{};
 
   if constexpr (radix_compatible<T, Less>) {
@@ -371,26 +298,13 @@ void parallel_sort(std::span<T> data, Less less, ThreadPool& pool,
     std::copy(runs[0].begin(), runs[0].end(), data.begin());
     return;
   }
-  if (algo == MergeAlgo::kParallelSplitter) {
-    MultiwayMergeStats stats;
-    parallel_multiway_merge_from_scratch(std::move(runs), data, std::span<T>(scratch),
-                                         less, pool, 0,
-                                         breakdown != nullptr ? &stats : nullptr);
-    if (breakdown != nullptr) {
-      breakdown->merge_seconds = timer.seconds() - chunk_seconds;
-      breakdown->merge_partition_seconds = stats.partition_seconds;
-      breakdown->merge_jobs = stats.jobs;
-    }
-  } else {
-    // The runs live in scratch, so the loser tree can pop straight into
-    // `data` (the old copy-through-a-temporary is gone here too).
-    LoserTree<T, Less> tree(std::move(runs), less);
-    T* out = data.data();
-    while (!tree.empty()) *out++ = tree.pop();
-    if (breakdown != nullptr) {
-      breakdown->merge_seconds = timer.seconds() - chunk_seconds;
-      breakdown->merge_jobs = 1;
-    }
+  MultiwayMergeStats stats;
+  parallel_multiway_merge_from_scratch(std::move(runs), data, std::span<T>(scratch), less,
+                                       pool, 0, breakdown != nullptr ? &stats : nullptr);
+  if (breakdown != nullptr) {
+    breakdown->merge_seconds = timer.seconds() - chunk_seconds;
+    breakdown->merge_partition_seconds = stats.partition_seconds;
+    breakdown->merge_jobs = stats.jobs;
   }
 }
 

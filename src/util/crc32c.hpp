@@ -1,8 +1,8 @@
 // CRC32C (Castagnoli) — the end-to-end integrity checksum of the runtime.
 //
-// Every shuffle page (framed or columnar) is stamped with a CRC32C at the
-// transport layer, spill files accumulate one over everything appended, and
-// checkpoint blobs carry one from save to restore. CRC32C detects all
+// Every shuffle page is stamped with a CRC32C at the transport layer, spill
+// files accumulate one over everything appended, and checkpoint blobs carry
+// one from save to restore. CRC32C detects all
 // single-bit flips and all burst errors up to 32 bits, which is exactly the
 // fault model the `corrupt=p` injector exercises: a detected mismatch is
 // repaired by retransmission or surfaced as a typed DataError, never

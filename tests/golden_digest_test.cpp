@@ -1,9 +1,10 @@
 // Golden partition digests: ordered digests of the two case studies'
 // partitions on a small fixed input at 16 ranks, recorded before the
 // engine's grouping and distribute sorts moved onto the radix path, plus a
-// radix-scale run of the hybrid-cut input at 4 ranks. Every engine knob
-// (sort engine, page format, a spilling memory budget) must reproduce the
-// recorded bytes in the recorded order.
+// radix-scale run of the hybrid-cut input at 4 ranks recorded before the
+// sort-engine and page-format knobs were removed. The default run and a
+// spilling memory budget must reproduce the recorded bytes in the recorded
+// order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -86,25 +87,14 @@ core::PartitionResult run(const Workload& w, const core::EngineOptions& options,
   return engine.run(runtime, w.files);
 }
 
-/// Runs `w` on `ranks` ranks under every knob combination that must not
-/// change partitions and checks each against `golden`. `spills` says whether
-/// the budgeted run is large enough per rank to reach the disk-spill paths.
+/// Runs `w` on `ranks` ranks with default options and under a memory
+/// budget, and checks both against `golden`. `spills` says whether the
+/// budgeted run is large enough per rank to reach the disk-spill paths.
 /// Returns the number of local sorts the default run dispatched to radix.
 std::uint64_t expect_golden(const Workload& w, std::uint64_t golden, bool spills,
                             int ranks = 16) {
   obs::Recorder recorder;
   EXPECT_EQ(ordered_digest(run(w, {}, ranks, &recorder).partitions), golden) << "defaults";
-  for (const auto engine : {sortlib::SortEngine::kAuto, sortlib::SortEngine::kMergesort,
-                            sortlib::SortEngine::kRadix}) {
-    for (const auto pages : {mr::PageFormat::kFramed, mr::PageFormat::kColumnar}) {
-      core::EngineOptions options;
-      options.sort_engine = engine;
-      options.pages = pages;
-      EXPECT_EQ(ordered_digest(run(w, options, ranks).partitions), golden)
-          << "engine=" << sortlib::sort_engine_name(engine)
-          << " pages=" << mr::page_format_name(pages);
-    }
-  }
 
   // A per-rank budget routes the shuffle through the credit-governed
   // segmented path and, where pages are large enough, pushes the sorts and

@@ -97,11 +97,11 @@ TEST(Span, EndIsIdempotent) {
 
 TEST(Recorder, ToJsonRoundTrip) {
   Recorder rec;
-  rec.add_counter("mr.shuffle.bytes", 12345);
+  rec.add_counter("mr.shuffle.wire_bytes", 12345);
   rec.set_gauge("skew", 1.25);
   rec.record_span({"job:sort", "engine", 3, 0.5, 1.75});
   const json::Value root = json::parse(rec.to_json());
-  EXPECT_DOUBLE_EQ(root.at("counters").at("mr.shuffle.bytes").number, 12345.0);
+  EXPECT_DOUBLE_EQ(root.at("counters").at("mr.shuffle.wire_bytes").number, 12345.0);
   EXPECT_DOUBLE_EQ(root.at("gauges").at("skew").number, 1.25);
   const auto& spans = root.at("spans").array;
   ASSERT_EQ(spans.size(), 1u);

@@ -151,22 +151,18 @@ TEST(RadixSort, AllEqualDoesNoPasses) {
   EXPECT_FALSE(stats.copied_back);
 }
 
-// The three engines must agree byte-for-byte on plain u64 spans.
-TEST(SortEngines, MergeRadixAndLoserTreeAreByteIdentical) {
+// The two engines must agree byte-for-byte on plain u64 spans.
+TEST(SortEngines, MergeAndRadixAreByteIdentical) {
   ThreadPool pool(4);
   for (const std::size_t n : kEdgeSizes) {
     auto base = adversarial<std::uint64_t>(n, 4, 0xabcdefu + n);
     auto via_merge = base;
     auto via_radix = base;
-    auto via_loser = base;
     parallel_sort(std::span<std::uint64_t>(via_merge), std::less<std::uint64_t>(),
-                  pool, nullptr, MergeAlgo::kParallelSplitter, SortEngine::kMergesort);
+                  pool, nullptr, SortEngine::kMergesort);
     parallel_sort(std::span<std::uint64_t>(via_radix), std::less<std::uint64_t>(),
-                  pool, nullptr, MergeAlgo::kParallelSplitter, SortEngine::kRadix);
-    parallel_sort(std::span<std::uint64_t>(via_loser), std::less<std::uint64_t>(),
-                  pool, nullptr, MergeAlgo::kSequentialLoserTree, SortEngine::kMergesort);
+                  pool, nullptr, SortEngine::kRadix);
     EXPECT_EQ(via_merge, via_radix) << "n=" << n;
-    EXPECT_EQ(via_merge, via_loser) << "n=" << n;
   }
 }
 
@@ -184,28 +180,6 @@ TEST(SortEngines, AutoDispatchesBySizeAndReportsBreakdown) {
   EXPECT_GT(bd.radix_passes, 0u);
 }
 
-TEST(SortEngines, DefaultEngineScopeOverridesAndRestores) {
-  ASSERT_EQ(default_sort_engine(), SortEngine::kAuto);
-  {
-    SortEngineScope scope(SortEngine::kMergesort);
-    EXPECT_EQ(default_sort_engine(), SortEngine::kMergesort);
-    ThreadPool pool(2);
-    auto v = adversarial<std::uint64_t>(kRadixAutoCutoff * 2, 0, 8);
-    SortBreakdown bd;
-    parallel_sort(std::span<std::uint64_t>(v), std::less<std::uint64_t>(), pool, &bd);
-    EXPECT_EQ(bd.engine_used, SortEngine::kMergesort);
-  }
-  EXPECT_EQ(default_sort_engine(), SortEngine::kAuto);
-}
-
-TEST(SortEngines, ParseAndNameRoundTrip) {
-  EXPECT_EQ(parse_sort_engine("auto"), SortEngine::kAuto);
-  EXPECT_EQ(parse_sort_engine("merge"), SortEngine::kMergesort);
-  EXPECT_EQ(parse_sort_engine("radix"), SortEngine::kRadix);
-  EXPECT_STREQ(sort_engine_name(SortEngine::kRadix), "radix");
-  EXPECT_THROW(parse_sort_engine("quantum"), ConfigError);
-}
-
 // Explicit kRadix on a non-radix type must fall back to mergesort, not
 // misbehave.
 TEST(SortEngines, RadixRequestOnCustomComparatorFallsBack) {
@@ -219,8 +193,7 @@ TEST(SortEngines, RadixRequestOnCustomComparatorFallsBack) {
   for (int i = 0; i < 5000; ++i) v.push_back({rng.next_below(100), rng.next_u64()});
   auto less = [](const Rec& a, const Rec& b) { return a.k < b.k; };
   SortBreakdown bd;
-  parallel_sort(std::span<Rec>(v), less, pool, &bd, MergeAlgo::kParallelSplitter,
-                SortEngine::kRadix);
+  parallel_sort(std::span<Rec>(v), less, pool, &bd, SortEngine::kRadix);
   EXPECT_EQ(bd.engine_used, SortEngine::kMergesort);
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), less));
 }
@@ -319,10 +292,10 @@ TEST(SimdKernels, ParallelSortByteIdenticalUnderForcedScalar) {
     auto vector_path = base;
     auto scalar_path = base;
     parallel_sort(std::span<std::uint64_t>(vector_path), std::less<std::uint64_t>(),
-                  pool, nullptr, MergeAlgo::kParallelSplitter, SortEngine::kMergesort);
+                  pool, nullptr, SortEngine::kMergesort);
     simd::set_force_scalar(true);
     parallel_sort(std::span<std::uint64_t>(scalar_path), std::less<std::uint64_t>(),
-                  pool, nullptr, MergeAlgo::kParallelSplitter, SortEngine::kMergesort);
+                  pool, nullptr, SortEngine::kMergesort);
     simd::set_force_scalar(false);
     EXPECT_EQ(vector_path, expect) << "n=" << n;
     EXPECT_EQ(scalar_path, expect) << "n=" << n;

@@ -1,8 +1,8 @@
 // Differential tests of MapReduce's local-sort entry point: sort_by_key and
-// the grouping order reduce() builds on it, under every sort engine and on
-// the budget-spill path, against std::stable_sort with the record
-// comparators the operators used before the entry point existed. Sizes
-// straddle sortlib::kRadixAutoCutoff so kAuto takes both paths.
+// the grouping order reduce() builds on it, on both sort engines and on the
+// budget-spill path, against std::stable_sort with the record comparators
+// the operators used before the entry point existed. Sizes straddle
+// sortlib::kRadixAutoCutoff so the dispatch takes both engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,8 +28,6 @@ using Record = std::pair<std::string, std::string>;
 using Records = std::vector<Record>;
 using RecordLess = std::function<bool(const Record&, const Record&)>;
 
-constexpr sortlib::SortEngine kEngines[] = {
-    sortlib::SortEngine::kAuto, sortlib::SortEngine::kRadix, sortlib::SortEngine::kMergesort};
 constexpr std::size_t kSizes[] = {0, 1, 8191, 8192, 50000};
 
 std::vector<unsigned char> page_bytes(const Records& records) {
@@ -45,11 +43,10 @@ struct Outcome {
   std::uint64_t merge_sorts = 0;
 };
 
-/// Loads `input` into a one-rank MapReduce under `engine` (and `budget`
-/// when non-null), runs `op`, and returns the resulting page.
-Outcome run_op(const Records& input, sortlib::SortEngine engine, MemoryBudget* budget,
+/// Loads `input` into a one-rank MapReduce (under `budget` when non-null),
+/// runs `op`, and returns the resulting page.
+Outcome run_op(const Records& input, MemoryBudget* budget,
                const std::function<void(MapReduce&)>& op) {
-  sortlib::SortEngineScope scope(engine);
   obs::Recorder recorder;
   Outcome out;
   mp::Runtime rt(1, mp::NetworkModel::zero());
@@ -171,42 +168,35 @@ void regroup(MapReduce& mr) {
   });
 }
 
-/// Checks one engine's outcome and that the dispatch matched the engine.
-void expect_outcome(const Outcome& got, const Records& want, sortlib::SortEngine engine,
-                    std::size_t n) {
+/// Checks an outcome and that the dispatch took radix exactly at or past
+/// the cutoff.
+void expect_outcome(const Outcome& got, const Records& want, std::size_t n) {
   EXPECT_EQ(got.bytes, page_bytes(want));
-  const bool radix = engine == sortlib::SortEngine::kRadix ||
-                     (engine == sortlib::SortEngine::kAuto && n >= sortlib::kRadixAutoCutoff);
+  const bool radix = n >= sortlib::kRadixAutoCutoff;
   EXPECT_EQ(got.radix_sorts, radix ? 1u : 0u);
   EXPECT_EQ(got.merge_sorts, radix ? 0u : 1u);
 }
 
 TEST(SortByKey, ReduceGroupsInKeyByteOrderUnderEveryEngine) {
   for (const std::size_t n : kSizes) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
     const Records input = byte_key_records(n, 31 + n);
     const Records want = stable_sorted(
         input, [](const Record& a, const Record& b) { return a.first < b.first; });
-    for (const auto engine : kEngines) {
-      SCOPED_TRACE(testing::Message() << "n=" << n
-                                      << " engine=" << sortlib::sort_engine_name(engine));
-      expect_outcome(run_op(input, engine, nullptr, regroup), want, engine, n);
-    }
+    expect_outcome(run_op(input, nullptr, regroup), want, n);
   }
 }
 
 TEST(SortByKey, DistributeOrderMatchesComparatorUnderEveryEngine) {
   for (const std::size_t n : kSizes) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
     const Records input = distribute_records(n, 47 + n);
     const Records want = stable_sorted(input, distribute_less);
-    for (const auto engine : kEngines) {
-      SCOPED_TRACE(testing::Message() << "n=" << n
-                                      << " engine=" << sortlib::sort_engine_name(engine));
-      expect_outcome(run_op(input, engine, nullptr,
-                            [](MapReduce& mr) {
-                              mr.sort_by_key(distribute_sort_key, TieBreak::kValue);
-                            }),
-                     want, engine, n);
-    }
+    expect_outcome(run_op(input, nullptr,
+                          [](MapReduce& mr) {
+                            mr.sort_by_key(distribute_sort_key, TieBreak::kValue);
+                          }),
+                   want, n);
   }
 }
 
@@ -228,18 +218,14 @@ TEST(SortByKey, ProjectionTieBreaksMatchComparatorUnderEveryEngine) {
           if (a.first != b.first) return a.first < b.first;
           return a.second < b.second;
         });
-    for (const auto engine : kEngines) {
-      SCOPED_TRACE(testing::Message() << "n=" << n
-                                      << " engine=" << sortlib::sort_engine_name(engine));
-      expect_outcome(
-          run_op(input, engine, nullptr,
-                 [&](MapReduce& mr) { mr.sort_by_key(key, TieBreak::kNone); }),
-          want_stable, engine, n);
-      expect_outcome(
-          run_op(input, engine, nullptr,
-                 [&](MapReduce& mr) { mr.sort_by_key(key, TieBreak::kKeyValue); }),
-          want_total, engine, n);
-    }
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    expect_outcome(
+        run_op(input, nullptr, [&](MapReduce& mr) { mr.sort_by_key(key, TieBreak::kNone); }),
+        want_stable, n);
+    expect_outcome(
+        run_op(input, nullptr,
+               [&](MapReduce& mr) { mr.sort_by_key(key, TieBreak::kKeyValue); }),
+        want_total, n);
   }
 }
 
@@ -252,26 +238,23 @@ TEST(SortByKey, BudgetPastSoftWatermarkSpillsByteIdentically) {
     const Records group_input = byte_key_records(n, 83 + n);
     const Records group_want = stable_sorted(
         group_input, [](const Record& a, const Record& b) { return a.first < b.first; });
-    for (const auto engine : kEngines) {
-      SCOPED_TRACE(testing::Message() << "n=" << n
-                                      << " engine=" << sortlib::sort_engine_name(engine));
-      // Every page copy and key column lands past the soft watermark: the
-      // sort runs externally and reduce falls back to the comparator order.
-      MemoryBudget budget({.hard_limit = 64u << 20,
-                           .soft_limit = 4096,
-                           .mailbox_limit = 0,
-                           .spill_dir = dir.string()});
-      const Outcome sorted = run_op(dist_input, engine, &budget, [](MapReduce& mr) {
-        mr.sort_by_key(distribute_sort_key, TieBreak::kValue);
-      });
-      EXPECT_EQ(sorted.bytes, page_bytes(dist_want));
-      const Outcome grouped = run_op(group_input, engine, &budget, regroup);
-      EXPECT_EQ(grouped.bytes, page_bytes(group_want));
-      if (n >= sortlib::kRadixAutoCutoff) {
-        EXPECT_EQ(sorted.radix_sorts, 0u);
-        EXPECT_EQ(grouped.radix_sorts, 0u);
-        EXPECT_GT(budget.spill_bytes(), 0u);
-      }
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    // Every page copy and key column lands past the soft watermark: the
+    // sort runs externally and reduce falls back to the comparator order.
+    MemoryBudget budget({.hard_limit = 64u << 20,
+                         .soft_limit = 4096,
+                         .mailbox_limit = 0,
+                         .spill_dir = dir.string()});
+    const Outcome sorted = run_op(dist_input, &budget, [](MapReduce& mr) {
+      mr.sort_by_key(distribute_sort_key, TieBreak::kValue);
+    });
+    EXPECT_EQ(sorted.bytes, page_bytes(dist_want));
+    const Outcome grouped = run_op(group_input, &budget, regroup);
+    EXPECT_EQ(grouped.bytes, page_bytes(group_want));
+    if (n >= sortlib::kRadixAutoCutoff) {
+      EXPECT_EQ(sorted.radix_sorts, 0u);
+      EXPECT_EQ(grouped.radix_sorts, 0u);
+      EXPECT_GT(budget.spill_bytes(), 0u);
     }
   }
   EXPECT_TRUE(!std::filesystem::exists(dir) || std::filesystem::is_empty(dir));

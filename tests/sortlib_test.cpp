@@ -81,78 +81,11 @@ TEST(Merge, MergeRunsTiesTakeLeft) {
   EXPECT_EQ(out[3].second, 'R');
 }
 
-TEST(LoserTree, MergesSortedRuns) {
-  std::vector<std::vector<int>> runs{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}};
-  std::vector<std::span<const int>> spans(runs.begin(), runs.end());
-  LoserTree<int, std::less<int>> tree(spans, std::less<int>());
-  std::vector<int> out;
-  while (!tree.empty()) out.push_back(tree.pop());
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
-}
-
-TEST(LoserTree, HandlesEmptyRuns) {
-  std::vector<std::vector<int>> runs{{}, {5}, {}, {1, 9}, {}};
-  std::vector<std::span<const int>> spans(runs.begin(), runs.end());
-  LoserTree<int, std::less<int>> tree(spans, std::less<int>());
-  std::vector<int> out;
-  while (!tree.empty()) out.push_back(tree.pop());
-  EXPECT_EQ(out, (std::vector<int>{1, 5, 9}));
-}
-
-TEST(LoserTree, AllRunsEmpty) {
-  std::vector<std::vector<int>> runs{{}, {}};
-  std::vector<std::span<const int>> spans(runs.begin(), runs.end());
-  LoserTree<int, std::less<int>> tree(spans, std::less<int>());
-  EXPECT_TRUE(tree.empty());
-}
-
-TEST(LoserTree, SingleRun) {
-  std::vector<int> run{2, 4, 6};
-  std::vector<std::span<const int>> spans{run};
-  LoserTree<int, std::less<int>> tree(spans, std::less<int>());
-  std::vector<int> out;
-  while (!tree.empty()) out.push_back(tree.pop());
-  EXPECT_EQ(out, (std::vector<int>{2, 4, 6}));
-}
-
-TEST(LoserTree, TiesResolveToLowerRunIndex) {
-  std::vector<std::vector<std::pair<int, int>>> runs{{{5, 0}}, {{5, 1}}, {{5, 2}}};
-  auto less = [](const auto& a, const auto& b) { return a.first < b.first; };
-  std::vector<std::span<const std::pair<int, int>>> spans(runs.begin(), runs.end());
-  LoserTree<std::pair<int, int>, decltype(less)> tree(spans, less);
-  EXPECT_EQ(tree.pop().second, 0);
-  EXPECT_EQ(tree.pop().second, 1);
-  EXPECT_EQ(tree.pop().second, 2);
-}
-
-TEST(LoserTree, RandomizedAgainstStdMerge) {
-  Rng rng(23);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t k = 1 + rng.next_below(9);
-    std::vector<std::vector<std::uint64_t>> runs(k);
-    std::vector<std::uint64_t> expected;
-    for (auto& run : runs) {
-      const std::size_t n = rng.next_below(50);
-      for (std::size_t i = 0; i < n; ++i) run.push_back(rng.next_below(100));
-      std::sort(run.begin(), run.end());
-      expected.insert(expected.end(), run.begin(), run.end());
-    }
-    std::sort(expected.begin(), expected.end());
-    std::vector<std::span<const std::uint64_t>> spans(runs.begin(), runs.end());
-    LoserTree<std::uint64_t, std::less<std::uint64_t>> tree(
-        spans, std::less<std::uint64_t>());
-    std::vector<std::uint64_t> out;
-    while (!tree.empty()) out.push_back(tree.pop());
-    EXPECT_EQ(out, expected);
-  }
-}
-
 // -- parallel_multiway_merge -------------------------------------------------
 
 // Reference: the stable k-way merge the parallel version must reproduce —
 // concatenate the runs in run order and stable_sort (equal elements keep
-// run order, then in-run order; identical to a loser tree with run-index
-// tie-break).
+// run order, then in-run order).
 template <typename T, typename Less>
 std::vector<T> reference_merge(const std::vector<std::vector<T>>& runs, Less less) {
   std::vector<T> out;
@@ -341,7 +274,7 @@ TEST_P(ParallelSortThreads, MatchesStdSort) {
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelSortThreads, ::testing::Values(1, 2, 3, 4, 8));
 
 TEST(ParallelSort, HeavyDuplicationMatchesStableSortUnderTotalOrder) {
-  // Regression guard for equal-key handling across the chunk-sort + loser-tree
+  // Regression guard for equal-key handling across the chunk-sort + parallel
   // merge path. With only four distinct keys, almost every comparison during
   // the k-way merge is a tie. Under a total order (key, then sequence number)
   // the result must match std::stable_sort element for element — any dropped,
@@ -366,10 +299,10 @@ TEST(ParallelSort, HeavyDuplicationMatchesStableSortUnderTotalOrder) {
   EXPECT_EQ(v, expected);
 }
 
-TEST(ParallelSort, ParallelMergeByteIdenticalToLoserTree) {
+TEST(ParallelSort, ParallelMergeMatchesStableSortUnderTotalOrder) {
   // Partition-identity guarantee: under a total order (key, then full record
-  // bytes) the splitter-partitioned merge must produce exactly the bytes the
-  // sequential loser-tree merge produced.
+  // bytes) the splitter-partitioned merge must produce exactly the bytes
+  // std::stable_sort produces.
   struct Rec {
     std::uint64_t key;
     std::uint64_t bytes;
@@ -386,14 +319,8 @@ TEST(ParallelSort, ParallelMergeByteIdenticalToLoserTree) {
       r.bytes = rng.next_u64();
     }
     auto via_parallel = base;
-    auto via_loser_tree = base;
     ThreadPool pool(4);
-    parallel_sort(std::span<Rec>(via_parallel), less, pool, nullptr,
-                  MergeAlgo::kParallelSplitter);
-    parallel_sort(std::span<Rec>(via_loser_tree), less, pool, nullptr,
-                  MergeAlgo::kSequentialLoserTree);
-    EXPECT_EQ(via_parallel, via_loser_tree);
-    // And both match std::stable_sort under the same total order.
+    parallel_sort(std::span<Rec>(via_parallel), less, pool);
     std::stable_sort(base.begin(), base.end(), less);
     EXPECT_EQ(via_parallel, base);
   }
@@ -408,7 +335,7 @@ TEST(ParallelSort, BreakdownReportsMergeJobs) {
   for (auto& x : v) x = rng.next_u64();
   SortBreakdown breakdown;
   parallel_sort(std::span<std::uint64_t>(v), std::less<std::uint64_t>(), pool,
-                &breakdown, MergeAlgo::kParallelSplitter, SortEngine::kMergesort);
+                &breakdown, SortEngine::kMergesort);
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
   EXPECT_EQ(breakdown.chunks, 4u);
   EXPECT_EQ(breakdown.engine_used, SortEngine::kMergesort);

@@ -62,8 +62,9 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "papar CLI failed under fault injection (${rc}): ${out} ${err}")
 endif()
 # Progress/analysis output goes to stderr (stdout stays clean for piping).
-if(NOT err MATCHES "faults injected")
-  message(FATAL_ERROR "faulted CLI run did not report fault counts: ${err}")
+# The scheduled crash must actually have fired.
+if(NOT err MATCHES "faults injected: [^\n]* 1 crashes;")
+  message(FATAL_ERROR "faulted CLI run did not report its one crash: ${err}")
 endif()
 if(NOT out STREQUAL "")
   message(FATAL_ERROR "papar polluted stdout: ${out}")
@@ -76,5 +77,41 @@ foreach(p RANGE 0 3)
   if(NOT same EQUAL 0)
     message(FATAL_ERROR "partition graph.${p} differs between the fault-free "
                         "and crash-recovered runs")
+  endif()
+endforeach()
+
+# A crash scheduled past the rank's last communication event must fail the
+# run loudly instead of silently testing nothing; partitions are still
+# written.
+execute_process(
+  COMMAND "${PAPAR_CLI}"
+          --input-config "${CONFIG_DIR}/graph_edge.xml"
+          --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+          --arg input_file=edges.txt
+          --arg output_path=${WORK_DIR}/parts-unfired/graph
+          --arg num_partitions=4
+          --arg threshold=15
+          --file edges.txt=${WORK_DIR}/edges.txt
+          --nodes 4 --faults "crash=1@100000"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "crash=1@100000 never fired \\(rank 1 made [0-9]+ communication events\\)")
+  message(FATAL_ERROR "unfired crash was not reported (${rc}): ${err}")
+endif()
+if(NOT EXISTS "${WORK_DIR}/parts-unfired/graph.0")
+  message(FATAL_ERROR "the unfired-crash run did not write its partitions")
+endif()
+
+# Removed knobs are rejected, not ignored.
+foreach(flag "--sort;auto" "--pages;framed")
+  execute_process(
+    COMMAND "${PAPAR_CLI}" ${flag}
+            --input-config "${CONFIG_DIR}/graph_edge.xml"
+            --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "unknown flag")
+    message(FATAL_ERROR "papar ${flag} was not rejected (${rc}): ${err}")
   endif()
 endforeach()

@@ -22,13 +22,13 @@
 //
 // A second matrix exercises localized crash recovery (DESIGN.md §16): a
 // fail-stop crash placed proportionally at every stage of both workflows,
-// crossed with {framed, columnar} wire formats x {threads, fibers}
-// schedulers x {local, stage} recovery, must finish byte-identical — and
-// `local` must do it by replaying only the crashed rank (rank replays
-// observed, zero full-stage recoveries). Two more cells per workload force
-// the degradation ladder (retention eviction under a starved cap falls
-// back to full-stage replay) and soak the end-to-end integrity checking
-// (corrupt=0.01 bit-flips, every one detected and repaired).
+// crossed with {threads, fibers} schedulers x {local, stage} recovery, must
+// finish byte-identical — and `local` must do it by replaying only the
+// crashed rank (rank replays observed, zero full-stage recoveries). Two
+// more cells per workload force the degradation ladder (retention eviction
+// under a starved cap falls back to full-stage replay) and soak the
+// end-to-end integrity checking (corrupt=0.01 bit-flips, every one detected
+// and repaired).
 //
 // Usage: papar_chaos [--quick] [--nodes N] [--seeds N] [--verbose]
 //
@@ -373,16 +373,12 @@ int run_chaos(int argc, char** argv) {
   // to its fault-free baseline; `recovery=local` must additionally repair
   // the crash with single-rank replays only (zero full-stage recoveries).
   struct RecoveryCell {
-    const char* pages;
-    mr::PageFormat format;
     const char* sched;
     mp::SchedulerMode mode;
   };
   const std::vector<RecoveryCell> recovery_cells = {
-      {"framed", mr::PageFormat::kFramed, "threads", mp::SchedulerMode::kThreads},
-      {"framed", mr::PageFormat::kFramed, "fibers", mp::SchedulerMode::kFibers},
-      {"columnar", mr::PageFormat::kColumnar, "threads", mp::SchedulerMode::kThreads},
-      {"columnar", mr::PageFormat::kColumnar, "fibers", mp::SchedulerMode::kFibers},
+      {"threads", mp::SchedulerMode::kThreads},
+      {"fibers", mp::SchedulerMode::kFibers},
   };
   const std::vector<double> crash_points =
       opt.quick ? std::vector<double>{0.1, 0.5, 0.9}
@@ -393,7 +389,6 @@ int run_chaos(int argc, char** argv) {
     for (const auto& cell : recovery_cells) {
       const auto cell_options = [&]() {
         core::EngineOptions o;
-        o.pages = cell.format;
         o.scheduler.mode = cell.mode;
         if (cell.mode == mp::SchedulerMode::kFibers) {
           o.scheduler.workers = 4;
@@ -408,8 +403,7 @@ int run_chaos(int argc, char** argv) {
       const RunOutcome probe = workload(seed, opt.nodes, cell_options(), &probe_inj);
       const std::uint64_t total_events = probe_inj.event_count(crash_rank);
       if (probe.digest != baseline.digest || total_events == 0) {
-        std::fprintf(stderr, "FAIL %s recovery probe (%s/%s): %s\n", wl_name,
-                     cell.pages, cell.sched,
+        std::fprintf(stderr, "FAIL %s recovery probe (%s): %s\n", wl_name, cell.sched,
                      total_events == 0 ? "no events on crash rank"
                                        : "probe digest mismatch");
         ++tally.failed;
@@ -458,11 +452,10 @@ int run_chaos(int argc, char** argv) {
           const bool failure = std::strncmp(status, "FAIL", 4) == 0;
           if (opt.verbose || failure) {
             std::fprintf(stderr,
-                         "%-24s %s recovery=%-6s crash=%d@%llu (%.0f%%) %s/%s%s%s\n",
+                         "%-24s %s recovery=%-6s crash=%d@%llu (%.0f%%) %s%s%s\n",
                          status, wl_name, mode_name, crash_rank,
                          static_cast<unsigned long long>(at), frac * 100.0,
-                         cell.pages, cell.sched, detail.empty() ? "" : " — ",
-                         detail.c_str());
+                         cell.sched, detail.empty() ? "" : " — ", detail.c_str());
           }
         }
       }

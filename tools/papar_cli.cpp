@@ -11,8 +11,7 @@
 //         --arg input_path=db.index --arg output_path=out/part \
 //         --arg num_partitions=32 \
 //         --file db.index=./my_database.index \
-//         --nodes 16 [--sort auto|merge|radix] [--pages framed|columnar]
-//         [--compress] [--naive-splitters] [--stats]
+//         --nodes 16 [--compress] [--naive-splitters] [--stats]
 //         [--trace trace.json] [--metrics out.prom]
 //         [--telemetry live.jsonl] [--flight-rec out/flight]
 //         [--faults "drop=0.05,crash=1@40" | --faults faults.conf]
@@ -38,22 +37,15 @@
 // size, mailbox depth, retransmits, plus run counters) in Prometheus text
 // exposition format.
 //
-// --sort picks the local sort engine (auto dispatches integral keys past a
-// size cutoff to LSD radix, merge pins the network-leaf mergesort, radix
-// pins the radix path); --pages picks the shuffle wire format (columnar
-// ships per-destination key/value columns with fixed-stride size elision,
-// framed ships the page bytes as-is). Both knobs change performance only:
-// partitions are byte-identical across all four combinations, and the
-// papar_sort_* / papar_mr_shuffle_* series in --metrics report the
-// decisions taken.
-//
 // --faults enables deterministic fault injection (see DESIGN.md §10): the
 // value is either an inline spec like "drop=0.05,dup=0.01,crash=1@40" or a
 // path to a file holding the same keys one per line. --fault-seed overrides
 // the spec's seed so one spec can be replayed under many seeds. With faults
 // on, the engine checkpoints inter-job state at every stage boundary and
 // recovers crashed stages automatically; --ckpt-dir additionally spills
-// each checkpoint blob to disk.
+// each checkpoint blob to disk. A crash=R@N that never fired because rank R
+// made fewer than N communication events is reported after the partitions
+// are written, and the run exits 1.
 //
 // --recovery picks the crash-recovery strategy (DESIGN.md §16): `stage`
 // (the default) re-executes the interrupted stage on every rank; `local`
@@ -123,9 +115,7 @@ void usage(const char* argv0) {
                "          --workflow <xml>\n"
                "          --arg name=value [...] --file key=path [...]\n"
                "          [--nodes N | --ranks N] [--scheduler threads|fibers]\n"
-               "          [--workers N] [--sort auto|merge|radix]\n"
-               "          [--pages framed|columnar]\n"
-               "          [--compress] [--naive-splitters] [--stats]\n"
+               "          [--workers N] [--compress] [--naive-splitters] [--stats]\n"
                "          [--trace <file>] [--metrics <file>]\n"
                "          [--telemetry <file>] [--flight-rec <dir>]\n"
                "          [--faults <spec|file>] [--fault-seed N]\n"
@@ -169,10 +159,6 @@ CliOptions parse_cli(int argc, char** argv) {
       opt.nodes = parse_number<int>(next(), flag.c_str());
     } else if (flag == "--scheduler") {
       opt.engine.scheduler.mode = mp::parse_scheduler_mode(next());
-    } else if (flag == "--sort") {
-      opt.engine.sort_engine = sortlib::parse_sort_engine(next());
-    } else if (flag == "--pages") {
-      opt.engine.pages = mr::parse_page_format(next());
     } else if (flag == "--workers") {
       opt.engine.scheduler.workers = parse_number<int>(next(), "--workers");
     } else if (flag == "--faults") {
@@ -388,7 +374,22 @@ int run(int argc, char** argv) {
     if (!out) throw DataError("metrics write failed: " + opt.metrics_path);
     std::fprintf(stderr, "papar: wrote metrics to %s\n", opt.metrics_path.c_str());
   }
-  return 0;
+  // A crash scheduled past the rank's last communication event silently
+  // tests nothing; fail the run so the misconfiguration is seen.
+  int rc = 0;
+  if (injector) {
+    for (const mp::CrashSpec& c : injector->plan().crashes) {
+      const std::uint64_t events = injector->event_count(c.rank);
+      if (events >= c.at_event) continue;
+      std::fprintf(stderr,
+                   "papar: crash=%d@%llu never fired (rank %d made %llu communication "
+                   "events)\n",
+                   c.rank, static_cast<unsigned long long>(c.at_event), c.rank,
+                   static_cast<unsigned long long>(events));
+      rc = 1;
+    }
+  }
+  return rc;
 }
 
 }  // namespace
