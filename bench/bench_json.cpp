@@ -79,17 +79,7 @@ std::string BenchReport::to_json() const {
     append_samples(os, e.after_samples);
     os << "\n    }";
   }
-  os << "\n  ]";
-  if (!critical_path_fractions.empty()) {
-    os << ",\n  \"critical_path_fractions\": {";
-    for (std::size_t i = 0; i < critical_path_fractions.size(); ++i) {
-      const auto& [stage, frac] = critical_path_fractions[i];
-      os << (i ? "," : "") << "\n    " << obs::json::quote(stage) << ": "
-         << number(frac);
-    }
-    os << "\n  }";
-  }
-  os << "\n}\n";
+  os << "\n  ]\n}\n";
   return os.str();
 }
 

@@ -23,17 +23,11 @@
 //         "before_samples_s": [...],
 //         "after_samples_s": [...]
 //       }
-//     ],
-//     "critical_path_fractions": {"setup": 0.05, "job:sort": 0.61, ...}
+//     ]
 //   }
-//
-// The critical_path_fractions key (simulated workloads only) attributes the
-// makespan of one traced "after" run to workflow stages via the causal
-// event graph (obs/critpath.hpp); fractions sum to 1.
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace papar::bench {
@@ -58,16 +52,12 @@ struct BenchEntry {
 
 /// A workload's full record, serialized to one BENCH_*.json file.
 struct BenchReport {
-  std::string bench;          // workload id: "sortlib", "blast", "hybrid"
+  std::string bench;          // workload id, e.g. "sortlib"
   std::string unit = "seconds";
   /// PAPAR_BENCH_SCALE the samples were taken at (datasets scale with it).
   double scale = 1.0;
   int repeats = 0;
   std::vector<BenchEntry> entries;
-  /// Per-stage share of the simulated critical path (stage name -> fraction
-  /// of the makespan, summing to 1), measured by one extra traced run of the
-  /// "after" configuration. Empty for workloads without a simulated fabric.
-  std::vector<std::pair<std::string, double>> critical_path_fractions;
 
   std::string to_json() const;
   /// Writes to_json() to `path`, throws papar::DataError on I/O failure.

@@ -52,11 +52,9 @@ struct EngineOptions {
   /// directory under the system temp dir. Spill files are removed as soon
   /// as each operation completes.
   std::string spill_dir;
-  /// How virtual ranks are executed: one OS thread per rank (the default,
-  /// faithful to the paper's 16-node scale) or N rank fibers multiplexed
-  /// over a fixed worker pool (`--scheduler=fibers --workers K`), which
-  /// scales the same workflows to 1024 ranks (DESIGN.md §13). Case-study
-  /// drivers that build their own Runtime pass this through.
+  /// How the rank fibers are scheduled: worker-pool size (`--workers K`,
+  /// default hardware concurrency) and run-queue seed (DESIGN.md §13).
+  /// Case-study entry points that build their own Runtime pass this through.
   mp::SchedulerOptions scheduler;
   /// Continuous telemetry (DESIGN.md §15). Any of the three knobs below
   /// being set attaches a TelemetrySampler for the run: per-rank time-series

@@ -4,18 +4,16 @@
 // send/recv, nonblocking isend/irecv completed by Request::wait (the paper's
 // MPI backend uses Isend/Irecv/Wait for the data shuffle), and the
 // collectives MR-MPI needs (barrier, bcast, gather(v), alltoallv, allreduce,
-// allgather). Ranks execute either as one OS thread each (--scheduler=threads)
-// or as fibers multiplexed over a worker pool (--scheduler=fibers, DESIGN.md
-// §13); payloads move through per-rank mailboxes either way.
+// allgather). Ranks execute as fibers multiplexed over a worker pool
+// (DESIGN.md §13); payloads move through per-rank mailboxes.
 //
 // Virtual time: every rank carries a clock. Compute is charged from the
 // hosting thread's CPU-time counter (CLOCK_THREAD_CPUTIME_ID) each time the
 // rank enters the runtime, re-based at every scheduler slice so only cycles
-// this rank actually executed count even when many ranks share one core or
-// one worker thread. Messages are stamped with
-// sender-clock + network cost; a receive advances the receiver's clock to at
-// least the stamp (Lamport propagation). The run's makespan is the maximum
-// final clock over ranks.
+// this rank actually executed count even when many ranks share one worker
+// thread. Messages are stamped with sender-clock + network cost; a receive
+// advances the receiver's clock to at least the stamp (Lamport propagation).
+// The run's makespan is the maximum final clock over ranks.
 #pragma once
 
 #include <cstdint>
@@ -317,10 +315,16 @@ class Comm {
 
   Envelope recv_impl(int source, int tag, double timeout_seconds);
 
+  /// Pops the message at `index` of this rank's mailbox queue into `out`
+  /// with the bookkeeping every receive shares: clock propagation, mailbox
+  /// and budget accounting, the CRC check, retention, credit return, the
+  /// trace event and the latency histogram. Caller holds the mailbox mutex.
+  void consume(std::size_t index, double recv_begin, Envelope& out);
+
   /// Nonblocking pop of the earliest queued message with `tag` from a
-  /// source not marked in `skip_sources`, with full recv bookkeeping
-  /// (clock propagation, credits, trace, metrics). Never counts a fault
-  /// comm event: retry polling must not perturb crash schedules.
+  /// source not marked in `skip_sources`, with consume()'s bookkeeping.
+  /// Never counts a fault comm event: retry polling must not perturb crash
+  /// schedules.
   bool try_recv_tagged(int tag, const std::vector<char>& skip_sources,
                        Envelope& out);
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -14,7 +12,6 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "mpsim/sched.hpp"
@@ -109,7 +106,6 @@ struct RetentionSpool {
 
 struct Mailbox {
   std::mutex mutex;
-  std::condition_variable cv;
   std::deque<Message> queue;
   /// Sum of queued payload sizes; the quantity credit-based flow control
   /// caps at Shared::mailbox_cap. Guarded by `mutex`.
@@ -118,7 +114,7 @@ struct Mailbox {
   /// single over-cap enqueue so a cycle of blocked senders always makes
   /// progress instead of deadlocking. Guarded by `mutex`.
   std::size_t credit_grants = 0;
-  /// Fiber-mode waiter registration, guarded by `mutex`. Registration
+  /// Waiter registration, guarded by `mutex`. Registration
   /// happens in the same critical section as the failed predicate check,
   /// so an enqueue (or credit return) either precedes the check or sees
   /// the waiter — a parked fiber can never miss its wakeup. Wakes are
@@ -150,7 +146,7 @@ struct Mailbox {
 };
 
 // Per-rank execution state, maintained for the failure detector and the
-// deadlock watchdog. Written only by the owning rank's thread; read by any
+// deadlock watchdog. Written only by the owning rank; read by any worker
 // thread, which is why every field is atomic (a reader never takes a lock
 // a rank might hold).
 enum RankState : int {
@@ -185,7 +181,7 @@ struct RankStatus {
   std::atomic<std::size_t> blocked_bytes{0};
   /// Barrier generation the rank is waiting on while kBlockedBarrier.
   /// Lets the deadlock scan tell a genuinely stuck waiter from one whose
-  /// barrier already resolved but whose thread has not been scheduled yet.
+  /// barrier already resolved but who has not been scheduled yet.
   std::atomic<std::uint64_t> blocked_generation{0};
   /// Virtual clock at which the rank terminated (feeds the heartbeat
   /// failure-detection latency model).
@@ -214,18 +210,17 @@ struct Shared {
 
   // Generation-counting barrier that also resolves the post-barrier clock.
   std::mutex barrier_mutex;
-  std::condition_variable barrier_cv;
   int barrier_count = 0;
   std::uint64_t barrier_generation = 0;
   double barrier_pending_max = 0.0;
   double barrier_resolved_time = 0.0;
-  /// Fiber-mode barrier waiters (guarded by barrier_mutex; same
-  /// registration discipline as Mailbox's waiter slots).
+  /// Parked barrier waiters (guarded by barrier_mutex; same registration
+  /// discipline as Mailbox's waiter slots).
   std::vector<int> barrier_waiters;
 
-  /// The fiber scheduler hosting this attempt's ranks, or nullptr in
-  /// threaded mode (and between runs). Set by Runtime::run around each
-  /// attempt; every blocking site branches on this one pointer.
+  /// The fiber scheduler hosting this attempt's ranks. Runtime::run sets it
+  /// before any rank starts and clears it after every rank has returned, so
+  /// code running on a rank or in the idle poll always has one.
   FiberScheduler* fibers = nullptr;
 
   std::atomic<std::uint64_t> remote_messages{0};
@@ -278,8 +273,6 @@ struct Shared {
   std::string abort_reason;
   /// Serializes deadlock scans (try_lock: losers simply skip the scan).
   std::mutex detect_mutex;
-  /// How long a blocked rank sleeps before re-checking for deadlock.
-  std::chrono::milliseconds watchdog{100};
   /// Recovery attempt currently executing (written between attempts).
   int attempt = 0;
 
@@ -346,20 +339,12 @@ struct Shared {
   }
 
   /// Wakes every rank that might be blocked, whatever it is blocked on.
-  /// The empty lock/unlock pairs order the wakeup after any in-flight
-  /// predicate check, so a waiter cannot miss the notification.
-  void wake_all() {
-    for (auto& mb : mailboxes) {
-      { std::lock_guard<std::mutex> lock(mb.mutex); }
-      mb.cv.notify_all();
-    }
-    { std::lock_guard<std::mutex> lock(barrier_mutex); }
-    barrier_cv.notify_all();
-    if (fibers != nullptr) fibers->wake_all();
-  }
+  /// Wakes are sticky, so a rank between its predicate check and its park
+  /// re-checks instead of missing the wakeup.
+  void wake_all() { fibers->wake_all(); }
 
   /// Marks a rank as terminated exactly once (idempotent: the crash path
-  /// declares before throwing and the thread wrapper declares again).
+  /// declares before throwing and the rank body's handler declares again).
   void declare_terminated(int rank, int new_state, double vtime) {
     auto& st = status[static_cast<std::size_t>(rank)];
     if (terminated_state(st.state.load(std::memory_order_relaxed))) return;
@@ -517,16 +502,16 @@ struct Shared {
   void telemetry_sample_self(int rank, double vtime, int state);
 
   /// Observer-side sweep over all ranks (parked ranks included), stamping
-  /// each with its last known virtual clock. Runs from the watchdog /
-  /// fiber idle poll with no caller locks held. Each rank's state is read
+  /// each with its last known virtual clock. Runs from the scheduler's
+  /// idle poll with no caller locks held. Each rank's state is read
   /// and recorded under that rank's mailbox lock, the lock its own samples
   /// take too; since a rank declares its terminal state before it records
   /// its terminal sample, a sweep can never append a stale pre-termination
   /// state after that sample.
   void telemetry_scan();
 
-  /// The threaded watchdog's / fiber idle poll's combined duty: deadlock
-  /// scan plus a telemetry sweep and stream frame.
+  /// The scheduler's idle poll: deadlock scan plus a telemetry sweep and
+  /// stream frame.
   void watchdog_poll() {
     try_detect_deadlock();
     if (obs::TelemetrySampler* smp = sampler) {
@@ -559,11 +544,11 @@ void Shared::try_detect_deadlock() {
         if (st.timeout_fired.load(std::memory_order_relaxed)) return;
         const int src = st.blocked_source.load(std::memory_order_relaxed);
         // A rank waiting on a terminated peer will throw PeerFailureError
-        // by itself; that is progress, not deadlock. (Under fibers the
-        // termination broadcast already woke it; the extra wake is a
-        // harmless belt-and-braces resume.)
+        // by itself; that is progress, not deadlock. (The termination
+        // broadcast already woke it; the extra wake is a harmless
+        // belt-and-braces resume.)
         if (awaited_terminated(r, src) >= 0) {
-          if (fibers != nullptr) fibers->wake(r);
+          fibers->wake(r);
           return;
         }
         ++blocked;
@@ -576,7 +561,7 @@ void Shared::try_detect_deadlock() {
         const int dest = st.blocked_source.load(std::memory_order_relaxed);
         if (terminated_state(status[static_cast<std::size_t>(dest)].state.load(
                 std::memory_order_acquire))) {
-          if (fibers != nullptr) fibers->wake(r);
+          fibers->wake(r);
           return;
         }
         ++blocked;
@@ -587,9 +572,9 @@ void Shared::try_detect_deadlock() {
         // A barrier with a terminated rank is resolved by the waiters'
         // own peer-failure path.
         if (terminated.load(std::memory_order_relaxed) > 0) return;
-        // A waiter whose generation already resolved is not stuck — its
-        // thread just has not been scheduled since the resolving notify;
-        // it will observe the advanced generation and proceed.
+        // A waiter whose generation already resolved is not stuck — it
+        // just has not been scheduled since the resolving wake; it will
+        // observe the advanced generation and proceed.
         std::uint64_t current_generation;
         {
           std::lock_guard<std::mutex> barrier_lock(barrier_mutex);
@@ -597,7 +582,7 @@ void Shared::try_detect_deadlock() {
         }
         if (st.blocked_generation.load(std::memory_order_relaxed) !=
             current_generation) {
-          if (fibers != nullptr) fibers->wake(r);
+          fibers->wake(r);
           return;
         }
         ++blocked;
@@ -618,9 +603,8 @@ void Shared::try_detect_deadlock() {
       std::lock_guard<std::mutex> mb_lock(mb.mutex);
       for (const auto& m : mb.queue) {
         if ((src == kAnySource || m.source == src) && m.tag == tag) {
-          // Satisfiable: the rank only needs to be scheduled. Threads get
-          // there via the watchdog re-check; a parked fiber needs a wake.
-          if (fibers != nullptr) fibers->wake(r);
+          // Satisfiable: the rank only needs to be scheduled.
+          fibers->wake(r);
           return;
         }
       }
@@ -631,7 +615,7 @@ void Shared::try_detect_deadlock() {
       std::lock_guard<std::mutex> mb_lock(mb.mutex);
       if (mb.queued_bytes == 0 || mb.queued_bytes + n <= mailbox_cap ||
           mb.credit_grants > 0) {
-        if (fibers != nullptr) fibers->wake(r);
+        fibers->wake(r);
         return;  // the sender can proceed; it just has not been scheduled
       }
     }
@@ -654,8 +638,7 @@ void Shared::try_detect_deadlock() {
     }
     if (budget != nullptr) budget->note_emergency_credit(dest);
     progress.fetch_add(1, std::memory_order_release);
-    mb.cv.notify_all();
-    if (fibers != nullptr) fibers->wake(first_blocked_sender);
+    fibers->wake(first_blocked_sender);
     return;
   }
 
@@ -687,8 +670,7 @@ void Shared::try_detect_deadlock() {
         std::lock_guard<std::mutex> mb_lock(mb.mutex);
         mb.recv_waiting = false;
       }
-      mb.cv.notify_all();
-      if (fibers != nullptr) fibers->wake(timeout_rank);
+      fibers->wake(timeout_rank);
       return;
     }
   }
@@ -750,9 +732,7 @@ void Shared::telemetry_record(int rank, double vtime, int state,
   }
   s.sort_records = smp->sort_records(rank);
   s.replays = smp->replays(rank);
-  if (fibers != nullptr) {
-    s.runq_depth = static_cast<std::uint32_t>(fibers->runq_depth());
-  }
+  s.runq_depth = static_cast<std::uint32_t>(fibers->runq_depth());
   smp->record(rank, s);
 }
 
@@ -1225,27 +1205,15 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
         st.blocked_tag.store(tag, std::memory_order_relaxed);
         st.blocked_bytes.store(n, std::memory_order_relaxed);
         st.state.store(detail::kBlockedSend, std::memory_order_release);
-        if (detail::FiberScheduler* fibers = s->fibers) {
-          // Register while still holding mb.mutex (same critical section
-          // as the failed credit check), then park with no locks held.
-          auto& waiters = mb.send_waiters;
-          if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
-            waiters.push_back(rank_);
-          }
-          lock.unlock();
-          fibers->park(rank_);
-          lock.lock();
-        } else {
-          const bool watchdog_expired =
-              mb.cv.wait_for(lock, s->watchdog) == std::cv_status::timeout;
-          if (watchdog_expired) {
-            // Scan without holding the mailbox lock (the scanner takes every
-            // mailbox lock in turn; never nest them).
-            lock.unlock();
-            s->watchdog_poll();
-            lock.lock();
-          }
+        // Register while still holding mb.mutex (same critical section as
+        // the failed credit check), then park with no locks held.
+        auto& waiters = mb.send_waiters;
+        if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
+          waiters.push_back(rank_);
         }
+        lock.unlock();
+        s->fibers->park(rank_);
+        lock.lock();
       }
       st.state.store(detail::kRunning, std::memory_order_release);
     }
@@ -1259,8 +1227,7 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
   }
   if (shared_->budget != nullptr) shared_->budget->add_mailbox(dest, n);
   shared_->progress.fetch_add(1, std::memory_order_release);
-  mb.cv.notify_all();
-  if (wake_receiver && shared_->fibers != nullptr) shared_->fibers->wake(dest);
+  if (wake_receiver) shared_->fibers->wake(dest);
   if (shared_->metrics != nullptr) {
     shared_->m_payload->observe(static_cast<double>(n));
     shared_->m_queue->observe(static_cast<double>(queue_depth));
@@ -1328,6 +1295,58 @@ std::string timeout_what(int source, int tag, int rank, double timeout_seconds) 
 }
 }  // namespace
 
+void Comm::consume(std::size_t index, double recv_begin, Envelope& out) {
+  auto* s = shared_;
+  auto& mb = s->mailboxes[static_cast<std::size_t>(rank_)];
+  const auto it = mb.queue.begin() + static_cast<std::ptrdiff_t>(index);
+  s->progress.fetch_add(1, std::memory_order_release);
+  out.source = it->source;
+  out.tag = it->tag;
+  out.payload = std::move(it->payload);
+  const double arrival = it->arrival;
+  const std::uint64_t trace_id = it->trace_id;
+  const std::uint32_t sender_stage = it->sender_stage;
+  const double sent = it->sent;
+  const std::uint32_t msg_crc = it->crc;
+  const bool msg_corrupted = it->corrupted;
+  const std::uint64_t msg_bit = it->corrupt_bit;
+  // The payload is usable once it has arrived and the receiving NIC has
+  // clocked it in.
+  vtime_ = std::max(vtime_, arrival);
+  if (out.source != rank_) {
+    vtime_ += static_cast<double>(out.payload.size()) / s->network.bandwidth;
+  }
+  const std::size_t freed = out.payload.size();
+  mb.queue.erase(it);
+  mb.queued_bytes -= freed > mb.queued_bytes ? mb.queued_bytes : freed;
+  if (s->budget != nullptr) s->budget->sub_mailbox(rank_, freed);
+  check_integrity(out, msg_crc, msg_corrupted, msg_bit);
+  if (s->local_recovery()) {
+    s->retain_consumed(mb, rank_, out.source, out.tag, out.payload);
+  }
+  // Returning credits may unblock senders parked on this mailbox.
+  for (const int w : mb.send_waiters) s->fibers->wake(w);
+  mb.send_waiters.clear();
+  if (obs::TraceRecorder* tracer = s->tracer) {
+    obs::TraceEvent ev;
+    ev.kind = obs::TraceEventKind::kRecv;
+    ev.stage = trace_stage_;
+    ev.attempt = attempt_;
+    ev.begin = recv_begin;
+    ev.end = vtime_;
+    ev.peer = out.source;
+    ev.tag = out.tag;
+    ev.bytes = out.payload.size();
+    ev.msg_id = trace_id;
+    ev.sender_stage = sender_stage;
+    ev.blocked = std::max(0.0, arrival - recv_begin);
+    tracer->record(rank_, ev);
+  }
+  if (s->m_latency != nullptr) {
+    s->m_latency->observe(std::max(0.0, vtime_ - sent));
+  }
+}
+
 Envelope Comm::recv(int source, int tag) { return recv_impl(source, tag, -1.0); }
 
 Envelope Comm::recv(int source, int tag, double timeout_seconds) {
@@ -1350,7 +1369,6 @@ Envelope Comm::recv_impl(int source, int tag, double timeout_seconds) {
   // Deadlines are virtual: the wait expires when no matching message can
   // arrive by `recv_begin + timeout` on the simulated clock — never because
   // the simulator host was slow or the rank sat parked behind other fibers.
-  // Identical semantics in both scheduler modes.
   const bool has_deadline = timeout_seconds >= 0.0;
   const double deadline_v = recv_begin + timeout_seconds;
   st.timeout_fired.store(false, std::memory_order_relaxed);
@@ -1372,58 +1390,8 @@ Envelope Comm::recv_impl(int source, int tag, double timeout_seconds) {
         st.state.store(detail::kRunning, std::memory_order_release);
         st.blocked_deadline.store(-1.0, std::memory_order_relaxed);
         st.timeout_fired.store(false, std::memory_order_relaxed);
-        s->progress.fetch_add(1, std::memory_order_release);
         Envelope env;
-        env.source = it->source;
-        env.tag = it->tag;
-        env.payload = std::move(it->payload);
-        const double arrival = it->arrival;
-        const std::uint64_t trace_id = it->trace_id;
-        const std::uint32_t sender_stage = it->sender_stage;
-        const double sent = it->sent;
-        const std::uint32_t msg_crc = it->crc;
-        const bool msg_corrupted = it->corrupted;
-        const std::uint64_t msg_bit = it->corrupt_bit;
-        // The payload is usable once it has arrived and the receiving NIC
-        // has clocked it in.
-        vtime_ = std::max(vtime_, arrival);
-        if (env.source != rank_) {
-          vtime_ += static_cast<double>(env.payload.size()) / shared_->network.bandwidth;
-        }
-        const std::size_t freed = env.payload.size();
-        mb.queue.erase(it);
-        mb.queued_bytes -= freed > mb.queued_bytes ? mb.queued_bytes : freed;
-        if (s->budget != nullptr) s->budget->sub_mailbox(rank_, freed);
-        check_integrity(env, msg_crc, msg_corrupted, msg_bit);
-        if (s->local_recovery()) {
-          s->retain_consumed(mb, rank_, env.source, env.tag, env.payload);
-        }
-        if (s->mailbox_cap > 0) {
-          // Returning credits may unblock senders waiting on this mailbox.
-          mb.cv.notify_all();
-          if (s->fibers != nullptr && !mb.send_waiters.empty()) {
-            for (const int w : mb.send_waiters) s->fibers->wake(w);
-            mb.send_waiters.clear();
-          }
-        }
-        if (obs::TraceRecorder* tracer = s->tracer) {
-          obs::TraceEvent ev;
-          ev.kind = obs::TraceEventKind::kRecv;
-          ev.stage = trace_stage_;
-          ev.attempt = attempt_;
-          ev.begin = recv_begin;
-          ev.end = vtime_;
-          ev.peer = env.source;
-          ev.tag = env.tag;
-          ev.bytes = env.payload.size();
-          ev.msg_id = trace_id;
-          ev.sender_stage = sender_stage;
-          ev.blocked = std::max(0.0, arrival - recv_begin);
-          tracer->record(rank_, ev);
-        }
-        if (s->m_latency != nullptr) {
-          s->m_latency->observe(std::max(0.0, vtime_ - sent));
-        }
+        consume(static_cast<std::size_t>(it - mb.queue.begin()), recv_begin, env);
         if (obs::TelemetrySampler* smp = s->sampler) {
           if (smp->due(rank_, vtime_, obs::RankActivity::kRunning)) {
             // Caller holds mb.mutex; pass the mailbox fields directly so
@@ -1471,25 +1439,13 @@ Envelope Comm::recv_impl(int source, int tag, double timeout_seconds) {
                             mb.credit_grants);
       }
     }
-    if (detail::FiberScheduler* fibers = s->fibers) {
-      // Register while still holding mb.mutex (same critical section as
-      // the failed match scan), then park with no locks held.
-      mb.recv_waiting = true;
-      lock.unlock();
-      fibers->park(rank_);
-      lock.lock();
-      mb.recv_waiting = false;
-    } else {
-      const bool watchdog_expired =
-          mb.cv.wait_for(lock, s->watchdog) == std::cv_status::timeout;
-      if (watchdog_expired) {
-        // Scan for deadlock without holding our mailbox lock (the scanner
-        // takes every mailbox lock in turn; never nest them).
-        lock.unlock();
-        s->watchdog_poll();
-        lock.lock();
-      }
-    }
+    // Register while still holding mb.mutex (same critical section as the
+    // failed match scan), then park with no locks held.
+    mb.recv_waiting = true;
+    lock.unlock();
+    s->fibers->park(rank_);
+    lock.lock();
+    mb.recv_waiting = false;
   }
 }
 
@@ -1508,54 +1464,7 @@ bool Comm::try_recv_tagged(int tag, const std::vector<char>& skip_sources,
         skip_sources[static_cast<std::size_t>(it->source)] != 0) {
       continue;
     }
-    s->progress.fetch_add(1, std::memory_order_release);
-    out.source = it->source;
-    out.tag = it->tag;
-    out.payload = std::move(it->payload);
-    const double arrival = it->arrival;
-    const std::uint64_t trace_id = it->trace_id;
-    const std::uint32_t sender_stage = it->sender_stage;
-    const double sent = it->sent;
-    const std::uint32_t msg_crc = it->crc;
-    const bool msg_corrupted = it->corrupted;
-    const std::uint64_t msg_bit = it->corrupt_bit;
-    vtime_ = std::max(vtime_, arrival);
-    if (out.source != rank_) {
-      vtime_ += static_cast<double>(out.payload.size()) / s->network.bandwidth;
-    }
-    const std::size_t freed = out.payload.size();
-    mb.queue.erase(it);
-    mb.queued_bytes -= freed > mb.queued_bytes ? mb.queued_bytes : freed;
-    if (s->budget != nullptr) s->budget->sub_mailbox(rank_, freed);
-    check_integrity(out, msg_crc, msg_corrupted, msg_bit);
-    if (s->local_recovery()) {
-      s->retain_consumed(mb, rank_, out.source, out.tag, out.payload);
-    }
-    if (s->mailbox_cap > 0) {
-      mb.cv.notify_all();
-      if (s->fibers != nullptr && !mb.send_waiters.empty()) {
-        for (const int w : mb.send_waiters) s->fibers->wake(w);
-        mb.send_waiters.clear();
-      }
-    }
-    if (obs::TraceRecorder* tracer = s->tracer) {
-      obs::TraceEvent ev;
-      ev.kind = obs::TraceEventKind::kRecv;
-      ev.stage = trace_stage_;
-      ev.attempt = attempt_;
-      ev.begin = recv_begin;
-      ev.end = vtime_;
-      ev.peer = out.source;
-      ev.tag = out.tag;
-      ev.bytes = out.payload.size();
-      ev.msg_id = trace_id;
-      ev.sender_stage = sender_stage;
-      ev.blocked = std::max(0.0, arrival - recv_begin);
-      tracer->record(rank_, ev);
-    }
-    if (s->m_latency != nullptr) {
-      s->m_latency->observe(std::max(0.0, vtime_ - sent));
-    }
+    consume(static_cast<std::size_t>(it - mb.queue.begin()), recv_begin, out);
     return true;
   }
   return false;
@@ -1617,11 +1526,8 @@ void Comm::barrier() {
     s->barrier_pending_max = 0.0;
     ++s->barrier_generation;
     s->progress.fetch_add(1, std::memory_order_release);
-    s->barrier_cv.notify_all();
-    if (s->fibers != nullptr && !s->barrier_waiters.empty()) {
-      for (const int w : s->barrier_waiters) s->fibers->wake(w);
-      s->barrier_waiters.clear();
-    }
+    for (const int w : s->barrier_waiters) s->fibers->wake(w);
+    s->barrier_waiters.clear();
   } else {
     for (;;) {
       if (s->barrier_generation != my_generation) break;
@@ -1639,25 +1545,15 @@ void Comm::barrier() {
       }
       st.blocked_generation.store(my_generation, std::memory_order_relaxed);
       st.state.store(detail::kBlockedBarrier, std::memory_order_release);
-      if (detail::FiberScheduler* fibers = s->fibers) {
-        // Register under barrier_mutex (same critical section as the
-        // generation check), then park with no locks held.
-        auto& waiters = s->barrier_waiters;
-        if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
-          waiters.push_back(rank_);
-        }
-        lock.unlock();
-        fibers->park(rank_);
-        lock.lock();
-      } else {
-        const bool watchdog_expired =
-            s->barrier_cv.wait_for(lock, s->watchdog) == std::cv_status::timeout;
-        if (watchdog_expired) {
-          lock.unlock();
-          s->watchdog_poll();
-          lock.lock();
-        }
+      // Register under barrier_mutex (same critical section as the
+      // generation check), then park with no locks held.
+      auto& waiters = s->barrier_waiters;
+      if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
+        waiters.push_back(rank_);
       }
+      lock.unlock();
+      s->fibers->park(rank_);
+      lock.lock();
     }
     st.state.store(detail::kRunning, std::memory_order_release);
   }
@@ -1827,6 +1723,10 @@ std::vector<std::vector<unsigned char>> Comm::alltoallv(
 Runtime::Runtime(int nranks, NetworkModel network, SchedulerOptions sched)
     : nranks_(nranks), sched_(sched) {
   PAPAR_CHECK_MSG(nranks >= 1, "runtime needs at least one rank");
+  if (sched.workers < 0) {
+    throw ConfigError("scheduler workers must be >= 0 (0 = hardware concurrency), got " +
+                      std::to_string(sched.workers));
+  }
   shared_ = std::make_unique<detail::Shared>(nranks, network);
 }
 
@@ -1966,40 +1866,28 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
         return;
       }
     };
-    if (sched_.mode == SchedulerMode::kFibers) {
-      // Fresh scheduler per attempt: recovery restarts every rank on a
-      // clean fiber with an empty run queue.
-      detail::FiberScheduler fibers(nranks_, sched_);
-      shared_->fibers = &fibers;
-      const std::function<void(int)> body = rank_body;
-      const std::function<void(int)> on_resume = [&](int r) {
-        // Slice boundary: re-base the rank's thread-CPU mark on the worker
-        // hosting this slice, so CPU burnt by other ranks sharing the
-        // worker (or by this rank on a previous worker) is never charged
-        // here. This is the clock-slicing rule of DESIGN.md §13.
-        comms[static_cast<std::size_t>(r)].last_cpu_ = thread_cpu_seconds();
-      };
-      const std::function<void()> on_idle = [&] {
-        shared_->watchdog_poll();
-      };
-      try {
-        fibers.run(body, on_resume, on_idle);
-      } catch (...) {
-        shared_->fibers = nullptr;
-        throw;
-      }
+    // Fresh scheduler per attempt: recovery restarts every rank on a
+    // clean fiber with an empty run queue.
+    detail::FiberScheduler fibers(nranks_, sched_);
+    shared_->fibers = &fibers;
+    const std::function<void(int)> body = rank_body;
+    const std::function<void(int)> on_resume = [&](int r) {
+      // Slice boundary: re-base the rank's thread-CPU mark on the worker
+      // hosting this slice, so CPU burnt by other ranks sharing the
+      // worker (or by this rank on a previous worker) is never charged
+      // here. This is the clock-slicing rule of DESIGN.md §13.
+      comms[static_cast<std::size_t>(r)].last_cpu_ = thread_cpu_seconds();
+    };
+    const std::function<void()> on_idle = [&] {
+      shared_->watchdog_poll();
+    };
+    try {
+      fibers.run(body, on_resume, on_idle);
+    } catch (...) {
       shared_->fibers = nullptr;
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(nranks_));
-      for (int r = 0; r < nranks_; ++r) {
-        threads.emplace_back([&, r] {
-          comms[static_cast<std::size_t>(r)].last_cpu_ = thread_cpu_seconds();
-          rank_body(r);
-        });
-      }
-      for (auto& t : threads) t.join();
+      throw;
     }
+    shared_->fibers = nullptr;
 
     // Classify the attempt's errors. Fault-path unwinds (crash, the peer
     // failures and deadlocks it cascades into) are recoverable; anything

@@ -1,13 +1,12 @@
 // Runtime: spawns N simulated ranks and reports run statistics.
 //
 // Substitution for the paper's 16-node cluster (see DESIGN.md §2): each rank
-// has its own mailbox and virtual clock, and executes either on its own OS
-// thread (SchedulerMode::kThreads, the original design) or as one of N
-// fibers multiplexed over a fixed worker pool (SchedulerMode::kFibers, which
-// scales to 1024 ranks — see DESIGN.md §13). `run` blocks until every rank's
-// function returns, then reports per-rank virtual times, the makespan, and
-// fabric traffic totals. Exceptions thrown inside a rank are re-thrown from
-// run() after all ranks are joined.
+// has its own mailbox and virtual clock and executes as one of N fibers
+// multiplexed over a fixed worker pool, which scales to 1024 ranks (see
+// DESIGN.md §13). `run` blocks until every rank's function returns, then
+// reports per-rank virtual times, the makespan, and fabric traffic totals.
+// Exceptions thrown inside a rank are re-thrown from run() after all ranks
+// have finished.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,8 @@ struct RunStats {
 class Runtime {
  public:
   /// A runtime for `nranks` simulated ranks over the given fabric, executed
-  /// by the given scheduler (defaults to one OS thread per rank).
+  /// as fibers over `sched.workers` worker threads (default: hardware
+  /// concurrency, clamped to `nranks`). Negative workers are a ConfigError.
   explicit Runtime(int nranks, NetworkModel network = NetworkModel::rdma(),
                    SchedulerOptions sched = {});
   ~Runtime();
@@ -65,7 +65,6 @@ class Runtime {
 
   int size() const { return nranks_; }
   const NetworkModel& network() const;
-  const SchedulerOptions& scheduler() const { return sched_; }
 
   /// Attaches an observability recorder: collectives bump per-kind traffic
   /// counters, each run() records one whole-rank span per rank, and code
@@ -124,7 +123,7 @@ class Runtime {
   /// Attaches a telemetry sampler (nullptr to detach): ranks snapshot
   /// their own state (stage, blocked kind, mailbox depth, budget, sort
   /// progress) into the sampler's per-rank rings at comm events, and the
-  /// deadlock watchdog / fiber idle poll sweeps parked ranks, so the rings
+  /// scheduler's idle poll sweeps parked ranks, so the rings
   /// stay fresh even when everything is blocked. The sampler is bound to
   /// this runtime's rank count and must outlive the runtime or be detached
   /// first. The disabled hot path is one pointer check.

@@ -1,6 +1,8 @@
 #include "mpsim/sched.hpp"
 
+#include <sys/mman.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -9,7 +11,6 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,20 +44,13 @@
 
 namespace papar::mp {
 
-SchedulerMode parse_scheduler_mode(std::string_view name) {
-  if (name == "threads") return SchedulerMode::kThreads;
-  if (name == "fibers") return SchedulerMode::kFibers;
-  throw ConfigError("unknown scheduler `" + std::string(name) +
-                    "` (expected `threads` or `fibers`)");
-}
-
-const char* scheduler_mode_name(SchedulerMode mode) {
-  return mode == SchedulerMode::kFibers ? "fibers" : "threads";
-}
-
 namespace detail {
 
 namespace {
+
+/// Usable stack per rank fiber. 1024 ranks reserve 256 MiB of address
+/// space, of which only touched pages become resident.
+constexpr std::size_t kStackBytes = 256 * 1024;
 
 /// Per-worker switching state, living on the worker's own stack.
 struct WorkerContext {
@@ -75,8 +69,7 @@ struct FiberScheduler::Fiber {
   int rank = 0;
   Impl* impl = nullptr;
   ucontext_t ctx{};
-  std::unique_ptr<unsigned char[]> stack;
-  std::size_t stack_size = 0;
+  unsigned char* stack = nullptr;  // lowest usable byte; the guard page sits below
   /// The worker currently (or last) hosting this fiber; set by the worker
   /// immediately before each resume. The fiber swaps back through it, so a
   /// slice always parks on the worker it resumed on.
@@ -98,6 +91,12 @@ struct FiberScheduler::Fiber {
 };
 
 struct FiberScheduler::Impl {
+  /// One anonymous mapping holding every rank's stack, each above its own
+  /// PROT_NONE guard page: [guard|stack 0][guard|stack 1]... A rank that
+  /// overruns its stack faults on the guard instead of silently writing
+  /// into its neighbour's memory.
+  void* stacks = MAP_FAILED;
+  std::size_t stacks_bytes = 0;
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<Fiber> fibers;  // indexed by rank
@@ -114,6 +113,10 @@ struct FiberScheduler::Impl {
   const std::function<void(int)>* on_resume = nullptr;
   const std::function<void()>* on_idle = nullptr;
 
+  ~Impl() {
+    if (stacks != MAP_FAILED) munmap(stacks, stacks_bytes);
+  }
+
   static void trampoline(unsigned int hi, unsigned int lo);
   static void switch_into_fiber(WorkerContext& w, Fiber& f);
   static void switch_out_of_fiber(Fiber& f, bool final_exit);
@@ -127,7 +130,7 @@ void FiberScheduler::Impl::switch_into_fiber(WorkerContext& w, Fiber& f) {
   __tsan_switch_to_fiber(f.tsan, 0);
 #endif
 #ifdef PAPAR_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&w.asan_save, f.stack.get(), f.stack_size);
+  __sanitizer_start_switch_fiber(&w.asan_save, f.stack, kStackBytes);
 #endif
   swapcontext(&w.ctx, &f.ctx);
 #ifdef PAPAR_ASAN_FIBERS
@@ -188,13 +191,21 @@ FiberScheduler::FiberScheduler(int nranks, const SchedulerOptions& options)
     impl_->randomized = true;
     impl_->rng = Rng(options.seed);
   }
-  const std::size_t stack_bytes = std::max<std::size_t>(options.stack_bytes, 64 * 1024);
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t stride = page + kStackBytes;
+  impl_->stacks_bytes = stride * static_cast<std::size_t>(nranks);
+  impl_->stacks = mmap(nullptr, impl_->stacks_bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  PAPAR_CHECK_MSG(impl_->stacks != MAP_FAILED, "cannot map fiber stacks");
+  auto* base = static_cast<unsigned char*>(impl_->stacks);
   for (int r = 0; r < nranks; ++r) {
     Fiber& f = impl_->fibers[static_cast<std::size_t>(r)];
+    unsigned char* guard = base + stride * static_cast<std::size_t>(r);
+    PAPAR_CHECK_MSG(mprotect(guard, page, PROT_NONE) == 0,
+                    "cannot protect fiber stack guard page");
     f.rank = r;
     f.impl = impl_.get();
-    f.stack_size = stack_bytes;
-    f.stack = std::make_unique<unsigned char[]>(stack_bytes);
+    f.stack = guard + page;
   }
 }
 
@@ -210,8 +221,8 @@ void FiberScheduler::run(const std::function<void(int)>& body,
   for (int r = 0; r < nranks_; ++r) {
     Fiber& f = im.fibers[static_cast<std::size_t>(r)];
     PAPAR_CHECK_MSG(getcontext(&f.ctx) == 0, "getcontext failed");
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = f.stack_size;
+    f.ctx.uc_stack.ss_sp = f.stack;
+    f.ctx.uc_stack.ss_size = kStackBytes;
     f.ctx.uc_link = nullptr;
     const auto p = reinterpret_cast<std::uintptr_t>(&f);
     makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Impl::trampoline), 2,
@@ -249,10 +260,10 @@ void FiberScheduler::worker_main(int worker_index) {
   std::unique_lock<std::mutex> lock(im.mutex);
   while (im.live > 0) {
     if (im.runq.empty()) {
-      // Everyone is parked or running elsewhere. Poll like the threaded
-      // watchdog: an idle interval with nothing runnable hands control to
-      // the deadlock scan, which fires emergency credits, virtual-deadline
-      // timeouts, or the deadlock abort — each of which wakes a fiber.
+      // Everyone is parked or running elsewhere. An idle interval with
+      // nothing runnable hands control to the deadlock scan, which fires
+      // emergency credits, virtual-deadline timeouts, or the deadlock
+      // abort — each of which wakes a fiber.
       const bool expired =
           im.cv.wait_for(lock, im.idle_poll) == std::cv_status::timeout;
       if (expired && im.runq.empty() && im.live > 0) {

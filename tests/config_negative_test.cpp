@@ -181,6 +181,12 @@ TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
   }
 }
 
+TEST(EngineNegative, NegativeSchedulerWorkersIsAConfigError) {
+  mp::SchedulerOptions sched;
+  sched.workers = -3;
+  EXPECT_THROW(mp::Runtime(2, mp::NetworkModel::zero(), sched), ConfigError);
+}
+
 // -- Number parsing -----------------------------------------------------------
 
 TEST(ParseNumberNegative, RejectsGarbageEmptyAndOverflow) {

@@ -25,11 +25,11 @@ TEST(Recorder, CountersAccumulate) {
 
 TEST(Recorder, CounterAggregationAcrossThreads) {
   Recorder rec;
-  constexpr int kThreads = 8;
+  constexpr int kWriters = 8;
   constexpr int kIncrements = 2000;
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
+  threads.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&rec, t] {
       for (int i = 0; i < kIncrements; ++i) {
         rec.add_counter("shared");
@@ -38,8 +38,8 @@ TEST(Recorder, CounterAggregationAcrossThreads) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(rec.counter("shared"), static_cast<std::uint64_t>(kThreads) * kIncrements);
-  for (int t = 0; t < kThreads; ++t) {
+  EXPECT_EQ(rec.counter("shared"), static_cast<std::uint64_t>(kWriters) * kIncrements);
+  for (int t = 0; t < kWriters; ++t) {
     EXPECT_EQ(rec.counter("per_thread." + std::to_string(t)),
               static_cast<std::uint64_t>(kIncrements) * 2);
   }

@@ -1,9 +1,11 @@
 // Fiber-scheduler scale tests (DESIGN.md §13): hundreds of virtual ranks
 // multiplexed over a handful of workers must produce byte-identical
-// partitions to the paper-scale threaded baseline, under randomized run
+// partitions to the paper-scale 16-rank baseline, under randomized run
 // queue interleavings and injected faults. Both case studies are covered:
 // BLAST cyclic partitioning (global-index stamps) and PowerLyra hybrid-cut
 // (content stamps), whose outputs are rank-count independent by design.
+// Fiber stacks are guarded: a rank that overruns its stack kills the
+// process instead of corrupting memory.
 #include <gtest/gtest.h>
 
 #include "blast/generator.hpp"
@@ -11,13 +13,13 @@
 #include "graph/generator.hpp"
 #include "graph/papar_hybrid.hpp"
 #include "mpsim/fault.hpp"
+#include "mpsim/runtime.hpp"
 
 namespace papar {
 namespace {
 
 core::EngineOptions fiber_options(int workers, std::uint64_t seed) {
   core::EngineOptions options;
-  options.scheduler.mode = mp::SchedulerMode::kFibers;
   options.scheduler.workers = workers;
   options.scheduler.seed = seed;
   return options;
@@ -38,7 +40,7 @@ graph::Graph scale_graph() {
   return graph::generate_zipf(opt);
 }
 
-TEST(SchedulerScale, Blast512RanksOver4WorkersMatchesThreadedBaseline) {
+TEST(SchedulerScale, Blast512RanksOver4WorkersMatches16RankBaseline) {
   const auto db = scale_db();
   const auto baseline =
       blast::partition_with_papar(db, 16, 32, blast::Policy::kCyclic);
@@ -47,7 +49,7 @@ TEST(SchedulerScale, Blast512RanksOver4WorkersMatchesThreadedBaseline) {
   EXPECT_EQ(scaled.partitions.partitions, baseline.partitions.partitions);
 }
 
-TEST(SchedulerScale, HybridCut512RanksOver4WorkersMatchesThreadedBaseline) {
+TEST(SchedulerScale, HybridCut512RanksOver4WorkersMatches16RankBaseline) {
   const auto g = scale_graph();
   const auto baseline = graph::papar_hybrid_cut(g, 16, 16, /*threshold=*/32);
   const auto scaled = graph::papar_hybrid_cut(g, 512, 16, /*threshold=*/32,
@@ -70,21 +72,6 @@ TEST(SchedulerScale, RandomizedInterleavingsAreAllByteIdentical) {
   }
 }
 
-TEST(SchedulerScale, BothModesAgreeAt256Ranks) {
-  // The same 256-rank run in both executors: one OS thread per rank vs
-  // fibers over 4 workers. Partitions must match each other and the
-  // 16-rank baseline.
-  const auto g = scale_graph();
-  const auto baseline = graph::papar_hybrid_cut(g, 16, 16, /*threshold=*/32);
-  const auto threaded = graph::papar_hybrid_cut(g, 256, 16, /*threshold=*/32);
-  const auto fibered = graph::papar_hybrid_cut(g, 256, 16, /*threshold=*/32,
-                                               fiber_options(4, /*seed=*/6));
-  EXPECT_EQ(threaded.partitioning.edge_partition,
-            baseline.partitioning.edge_partition);
-  EXPECT_EQ(fibered.partitioning.edge_partition,
-            baseline.partitioning.edge_partition);
-}
-
 TEST(SchedulerScale, FaultInjectionUnderFibersRecoversExactly) {
   const auto db = scale_db();
   const auto clean =
@@ -98,6 +85,32 @@ TEST(SchedulerScale, FaultInjectionUnderFibersRecoversExactly) {
   EXPECT_EQ(inj.counts().crashes, 1u);
   EXPECT_EQ(run.stats.recoveries, 1);
   EXPECT_EQ(run.partitions.partitions, clean.partitions.partitions);
+}
+
+/// Recurses `depth` frames of about 1 KiB each, touching every frame, so
+/// the stack grows page by page into whatever lies below it. alloca keeps
+/// the bytes on the real stack under ASan too (its fake stack only takes
+/// fixed-size locals).
+[[gnu::noinline]] int recurse(int depth) {
+  auto* frame = static_cast<volatile unsigned char*>(__builtin_alloca(1024));
+  for (int i = 0; i < 1024; i += 64) frame[i] = static_cast<unsigned char>(depth);
+  if (depth == 0) return frame[0];
+  return recurse(depth - 1) + frame[512];
+}
+
+TEST(FiberStackDeathTest, OverrunFaultsOnGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // 4 MiB of frames against a 256 KiB stack: the first frame past the
+  // stack's bottom lands on its PROT_NONE guard page.
+  EXPECT_DEATH(
+      {
+        mp::Runtime rt(4, mp::NetworkModel::zero(), mp::SchedulerOptions{});
+        rt.run([](mp::Comm& comm) {
+          if (comm.rank() == 1) (void)recurse(4096);
+          comm.barrier();
+        });
+      },
+      "");
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Regression tests for the thread-affinity bugs fixed alongside the fiber
 // scheduler (DESIGN.md §13): per-rank state must never live in thread-CPU
 // clocks sampled across scheduler slices, in thread_local scratch, or in
-// anything else keyed on the hosting OS thread, because under
-// --scheduler=fibers many ranks share one worker thread.
+// anything else keyed on the hosting OS thread, because many rank fibers
+// share one worker thread.
 #include <gtest/gtest.h>
 
 #include <ctime>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -18,7 +19,6 @@ namespace {
 
 mp::SchedulerOptions fibers(int workers, std::uint64_t seed = 0) {
   mp::SchedulerOptions s;
-  s.mode = mp::SchedulerMode::kFibers;
   s.workers = workers;
   s.seed = seed;
   return s;
@@ -48,16 +48,21 @@ std::vector<double> run_modeled_workload(const mp::SchedulerOptions& sched) {
 }
 
 // Satellite-1 regression: the per-rank CPU charge is re-based at every
-// scheduler slice, so multiplexing ranks over a worker pool yields exactly
-// the same per-rank clocks as one OS thread per rank.
+// scheduler slice, so the per-rank clocks are exactly the same however the
+// ranks are multiplexed: one worker, several workers (ranks migrating
+// between threads), or a seeded run queue.
 TEST(CpuCharging, PerRankChargesIdenticalAcrossSchedulers) {
-  const auto threaded = run_modeled_workload({});
-  for (const int workers : {1, 2}) {
-    const auto fibered = run_modeled_workload(fibers(workers));
-    ASSERT_EQ(fibered.size(), threaded.size());
-    for (std::size_t r = 0; r < threaded.size(); ++r) {
-      EXPECT_DOUBLE_EQ(fibered[r], threaded[r]) << "rank " << r << " with "
-                                                << workers << " workers";
+  const auto reference = run_modeled_workload(fibers(1));
+  const std::vector<std::pair<mp::SchedulerOptions, const char*>> schedules = {
+      {fibers(2), "2 workers"},
+      {fibers(4), "4 workers"},
+      {fibers(2, /*seed=*/7), "2 workers, seeded run queue"},
+  };
+  for (const auto& [sched, name] : schedules) {
+    const auto vtimes = run_modeled_workload(sched);
+    ASSERT_EQ(vtimes.size(), reference.size());
+    for (std::size_t r = 0; r < reference.size(); ++r) {
+      EXPECT_DOUBLE_EQ(vtimes[r], reference[r]) << "rank " << r << " with " << name;
     }
   }
 }
@@ -114,6 +119,7 @@ TEST(ScratchOwnership, CompressedHybridCutIdenticalAcrossSchedulers) {
         .partitioning.edge_partition;
   };
 
+  // Reference: the default worker pool at 4 ranks.
   const auto reference = partition_of({}, 4);
   EXPECT_EQ(partition_of(fibers(2), 8), reference)
       << "fiber interleaving corrupted shared scratch state";

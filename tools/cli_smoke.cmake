@@ -104,7 +104,7 @@ if(NOT EXISTS "${WORK_DIR}/parts-unfired/graph.0")
 endif()
 
 # Removed knobs are rejected, not ignored.
-foreach(flag "--sort;auto" "--pages;framed")
+foreach(flag "--sort;auto" "--pages;framed" "--scheduler;threads")
   execute_process(
     COMMAND "${PAPAR_CLI}" ${flag}
             --input-config "${CONFIG_DIR}/graph_edge.xml"
@@ -113,5 +113,18 @@ foreach(flag "--sort;auto" "--pages;framed")
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 1 OR NOT err MATCHES "unknown flag")
     message(FATAL_ERROR "papar ${flag} was not rejected (${rc}): ${err}")
+  endif()
+endforeach()
+
+# A worker count below 1 is a configuration error, not "hardware concurrency".
+foreach(workers 0 -3)
+  execute_process(
+    COMMAND "${PAPAR_CLI}" --workers ${workers}
+            --input-config "${CONFIG_DIR}/graph_edge.xml"
+            --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "--workers must be >= 1")
+    message(FATAL_ERROR "papar --workers ${workers} was not rejected (${rc}): ${err}")
   endif()
 endforeach()

@@ -22,13 +22,12 @@
 //
 // A second matrix exercises localized crash recovery (DESIGN.md §16): a
 // fail-stop crash placed proportionally at every stage of both workflows,
-// crossed with {threads, fibers} schedulers x {local, stage} recovery, must
-// finish byte-identical — and `local` must do it by replaying only the
-// crashed rank (rank replays observed, zero full-stage recoveries). Two
-// more cells per workload force the degradation ladder (retention eviction
-// under a starved cap falls back to full-stage replay) and soak the
-// end-to-end integrity checking (corrupt=0.01 bit-flips, every one detected
-// and repaired).
+// under {local, stage} recovery, must finish byte-identical — and `local`
+// must do it by replaying only the crashed rank (rank replays observed,
+// zero full-stage recoveries). Two more cells per workload force the
+// degradation ladder (retention eviction under a starved cap falls back to
+// full-stage replay) and soak the end-to-end integrity checking
+// (corrupt=0.01 bit-flips, every one detected and repaired).
 //
 // Usage: papar_chaos [--quick] [--nodes N] [--seeds N] [--verbose]
 //
@@ -321,16 +320,16 @@ int run_chaos(int argc, char** argv) {
 
   // Fiber-scheduler soak: the same workloads multiplexed over 4 workers at
   // hundreds of ranks, with a lossy-fabric-plus-crash plan, must still be
-  // byte-identical to the few-rank threaded baseline. This is the scale
-  // regime where the wall-clock watchdogs the virtual-deadline conversion
-  // replaced would have fired spuriously (256 ranks time-sharing 4 workers
-  // make real elapsed time meaningless as a progress signal).
+  // byte-identical to the few-rank baseline on the default worker pool.
+  // This is the scale regime where the wall-clock watchdogs the
+  // virtual-deadline conversion replaced would have fired spuriously (256
+  // ranks time-sharing 4 workers make real elapsed time meaningless as a
+  // progress signal).
   const int soak_ranks = opt.quick ? 64 : 256;
   for (const auto& [wl_name, workload] : workloads) {
     const std::uint64_t seed = 1;
     const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
     core::EngineOptions options;
-    options.scheduler.mode = mp::SchedulerMode::kFibers;
     options.scheduler.workers = 4;
     options.scheduler.seed = seed;
     mp::FaultPlan plan = mp::FaultPlan::parse_arg("drop=0.03,crash=1@60");
@@ -372,91 +371,70 @@ int run_chaos(int argc, char** argv) {
   // matter how the workloads evolve. Every cell must finish byte-identical
   // to its fault-free baseline; `recovery=local` must additionally repair
   // the crash with single-rank replays only (zero full-stage recoveries).
-  struct RecoveryCell {
-    const char* sched;
-    mp::SchedulerMode mode;
-  };
-  const std::vector<RecoveryCell> recovery_cells = {
-      {"threads", mp::SchedulerMode::kThreads},
-      {"fibers", mp::SchedulerMode::kFibers},
-  };
   const std::vector<double> crash_points =
       opt.quick ? std::vector<double>{0.1, 0.5, 0.9}
                 : std::vector<double>{0.05, 0.3, 0.55, 0.8, 0.95};
   const int crash_rank = 1;
   for (const auto& [wl_name, workload] : workloads) {
     const std::uint64_t seed = 1;
-    for (const auto& cell : recovery_cells) {
-      const auto cell_options = [&]() {
-        core::EngineOptions o;
-        o.scheduler.mode = cell.mode;
-        if (cell.mode == mp::SchedulerMode::kFibers) {
-          o.scheduler.workers = 4;
-          o.scheduler.seed = seed;
-        }
-        return o;
-      };
-      const RunOutcome baseline = workload(seed, opt.nodes, cell_options(), nullptr);
-      // Benign injector (no faults drawn) to count the crash rank's events.
-      mp::FaultPlan probe_plan = mp::FaultPlan::parse("seed=1");
-      mp::FaultInjector probe_inj(probe_plan);
-      const RunOutcome probe = workload(seed, opt.nodes, cell_options(), &probe_inj);
-      const std::uint64_t total_events = probe_inj.event_count(crash_rank);
-      if (probe.digest != baseline.digest || total_events == 0) {
-        std::fprintf(stderr, "FAIL %s recovery probe (%s): %s\n", wl_name, cell.sched,
-                     total_events == 0 ? "no events on crash rank"
-                                       : "probe digest mismatch");
-        ++tally.failed;
-        continue;
-      }
-      for (const char* mode_name : {"local", "stage"}) {
-        for (const double frac : crash_points) {
-          const std::uint64_t at = std::max<std::uint64_t>(
-              1, static_cast<std::uint64_t>(static_cast<double>(total_events) * frac));
-          mp::FaultPlan plan = mp::FaultPlan::parse(
-              "crash=" + std::to_string(crash_rank) + "@" + std::to_string(at));
-          plan.seed = seed;
-          mp::FaultInjector injector(plan);
-          core::EngineOptions options = cell_options();
-          options.recovery.mode = mp::parse_recovery_mode(mode_name);
+    const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
+    // Benign injector (no faults drawn) to count the crash rank's events.
+    mp::FaultPlan probe_plan = mp::FaultPlan::parse("seed=1");
+    mp::FaultInjector probe_inj(probe_plan);
+    const RunOutcome probe = workload(seed, opt.nodes, {}, &probe_inj);
+    const std::uint64_t total_events = probe_inj.event_count(crash_rank);
+    if (probe.digest != baseline.digest || total_events == 0) {
+      std::fprintf(stderr, "FAIL %s recovery probe: %s\n", wl_name,
+                   total_events == 0 ? "no events on crash rank"
+                                     : "probe digest mismatch");
+      ++tally.failed;
+      continue;
+    }
+    for (const char* mode_name : {"local", "stage"}) {
+      for (const double frac : crash_points) {
+        const std::uint64_t at = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(static_cast<double>(total_events) * frac));
+        mp::FaultPlan plan = mp::FaultPlan::parse(
+            "crash=" + std::to_string(crash_rank) + "@" + std::to_string(at));
+        plan.seed = seed;
+        mp::FaultInjector injector(plan);
+        core::EngineOptions options;
+        options.recovery.mode = mp::parse_recovery_mode(mode_name);
 
-          const char* status = nullptr;
-          std::string detail;
-          try {
-            const RunOutcome run =
-                workload(seed, opt.nodes, options, &injector);
-            tally.rank_replays += run.faults.rank_replays;
-            tally.segments_refetched += run.faults.segments_refetched;
-            if (run.digest != baseline.digest) {
-              status = "FAIL(digest)";
-              ++tally.failed;
-            } else if (options.recovery.mode == mp::RecoveryMode::kLocal &&
-                       (run.faults.rank_replays == 0 || run.faults.recoveries != 0)) {
-              status = "FAIL(not localized)";
-              detail = std::to_string(run.faults.rank_replays) + " replays, " +
-                       std::to_string(run.faults.recoveries) + " stage recoveries";
-              ++tally.failed;
-            } else {
-              status = "ok";
-              ++tally.completed;
-            }
-          } catch (const papar::Error& e) {
-            status = "FAIL(error)";
-            detail = e.what();
+        const char* status = nullptr;
+        std::string detail;
+        try {
+          const RunOutcome run = workload(seed, opt.nodes, options, &injector);
+          tally.rank_replays += run.faults.rank_replays;
+          tally.segments_refetched += run.faults.segments_refetched;
+          if (run.digest != baseline.digest) {
+            status = "FAIL(digest)";
             ++tally.failed;
-          } catch (const std::exception& e) {
-            status = "FAIL(untyped)";
-            detail = e.what();
+          } else if (options.recovery.mode == mp::RecoveryMode::kLocal &&
+                     (run.faults.rank_replays == 0 || run.faults.recoveries != 0)) {
+            status = "FAIL(not localized)";
+            detail = std::to_string(run.faults.rank_replays) + " replays, " +
+                     std::to_string(run.faults.recoveries) + " stage recoveries";
             ++tally.failed;
+          } else {
+            status = "ok";
+            ++tally.completed;
           }
-          const bool failure = std::strncmp(status, "FAIL", 4) == 0;
-          if (opt.verbose || failure) {
-            std::fprintf(stderr,
-                         "%-24s %s recovery=%-6s crash=%d@%llu (%.0f%%) %s%s%s\n",
-                         status, wl_name, mode_name, crash_rank,
-                         static_cast<unsigned long long>(at), frac * 100.0,
-                         cell.sched, detail.empty() ? "" : " — ", detail.c_str());
-          }
+        } catch (const papar::Error& e) {
+          status = "FAIL(error)";
+          detail = e.what();
+          ++tally.failed;
+        } catch (const std::exception& e) {
+          status = "FAIL(untyped)";
+          detail = e.what();
+          ++tally.failed;
+        }
+        const bool failure = std::strncmp(status, "FAIL", 4) == 0;
+        if (opt.verbose || failure) {
+          std::fprintf(stderr, "%-24s %s recovery=%-6s crash=%d@%llu (%.0f%%)%s%s\n",
+                       status, wl_name, mode_name, crash_rank,
+                       static_cast<unsigned long long>(at), frac * 100.0,
+                       detail.empty() ? "" : " — ", detail.c_str());
         }
       }
     }
@@ -470,11 +448,6 @@ int run_chaos(int argc, char** argv) {
     // the schedule, so the degrade evidence (evictions + stage recoveries)
     // is asserted over the whole sweep, and every run must keep the digest.
     {
-      const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
-      mp::FaultPlan probe_plan = mp::FaultPlan::parse("seed=1");
-      mp::FaultInjector probe_inj(probe_plan);
-      (void)workload(seed, opt.nodes, {}, &probe_inj);
-      const std::uint64_t total_events = probe_inj.event_count(crash_rank);
       std::uint64_t evictions = 0;
       std::uint64_t degrades = 0;
       const char* status = "ok";
@@ -534,7 +507,6 @@ int run_chaos(int argc, char** argv) {
     // to the few-rank baseline).
     {
       const int soak_nranks = 16;
-      const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
       mp::FaultPlan plan = mp::FaultPlan::parse("corrupt=0.01");
       plan.seed = seed;
       mp::FaultInjector injector(plan);

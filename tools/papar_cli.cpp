@@ -114,8 +114,8 @@ void usage(const char* argv0) {
                "usage: %s --input-config <xml> [--input-config <xml>...]\n"
                "          --workflow <xml>\n"
                "          --arg name=value [...] --file key=path [...]\n"
-               "          [--nodes N | --ranks N] [--scheduler threads|fibers]\n"
-               "          [--workers N] [--compress] [--naive-splitters] [--stats]\n"
+               "          [--nodes N | --ranks N] [--workers N]\n"
+               "          [--compress] [--naive-splitters] [--stats]\n"
                "          [--trace <file>] [--metrics <file>]\n"
                "          [--telemetry <file>] [--flight-rec <dir>]\n"
                "          [--faults <spec|file>] [--fault-seed N]\n"
@@ -154,13 +154,12 @@ CliOptions parse_cli(int argc, char** argv) {
       const auto [k, v] = split_kv(next(), "--file");
       opt.files[k] = v;
     } else if (flag == "--nodes" || flag == "--ranks") {
-      // --ranks is the scheduler-era alias: under --scheduler=fibers the
-      // simulated node count is no longer bounded by host threads.
+      // --ranks is an alias: ranks are fibers over a worker pool, so the
+      // simulated node count is not bounded by host threads.
       opt.nodes = parse_number<int>(next(), flag.c_str());
-    } else if (flag == "--scheduler") {
-      opt.engine.scheduler.mode = mp::parse_scheduler_mode(next());
     } else if (flag == "--workers") {
       opt.engine.scheduler.workers = parse_number<int>(next(), "--workers");
+      if (opt.engine.scheduler.workers < 1) throw ConfigError("--workers must be >= 1");
     } else if (flag == "--faults") {
       opt.faults = next();
     } else if (flag == "--fault-seed") {

@@ -29,7 +29,7 @@ execute_process(
           --arg num_partitions=4
           --arg threshold=15
           --file edges.txt=${WORK_DIR}/edges.txt
-          --nodes 256 --scheduler fibers
+          --nodes 256
           --mem-budget 256m
           --telemetry "${WORK_DIR}/live.jsonl"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
