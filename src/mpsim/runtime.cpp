@@ -220,7 +220,7 @@ struct Shared {
 
   /// The fiber scheduler hosting this attempt's ranks. Runtime::run sets it
   /// before any rank starts and clears it after every rank has returned, so
-  /// code running on a rank or in the idle poll always has one.
+  /// code running on a rank or in watchdog_poll always has one.
   FiberScheduler* fibers = nullptr;
 
   std::atomic<std::uint64_t> remote_messages{0};
@@ -271,8 +271,6 @@ struct Shared {
   std::atomic<bool> abort_deadlock{false};
   std::mutex abort_mutex;
   std::string abort_reason;
-  /// Serializes deadlock scans (try_lock: losers simply skip the scan).
-  std::mutex detect_mutex;
   /// Recovery attempt currently executing (written between attempts).
   int attempt = 0;
 
@@ -393,6 +391,8 @@ struct Shared {
     return network.latency * depth;
   }
 
+  /// Runs only from watchdog_poll, which the scheduler never runs
+  /// concurrently with itself, so at most one scan is in progress.
   void try_detect_deadlock();
 
   // -- Localized recovery (RecoveryMode::kLocal, DESIGN.md §16) -------------
@@ -502,16 +502,17 @@ struct Shared {
   void telemetry_sample_self(int rank, double vtime, int state);
 
   /// Observer-side sweep over all ranks (parked ranks included), stamping
-  /// each with its last known virtual clock. Runs from the scheduler's
-  /// idle poll with no caller locks held. Each rank's state is read
-  /// and recorded under that rank's mailbox lock, the lock its own samples
-  /// take too; since a rank declares its terminal state before it records
-  /// its terminal sample, a sweep can never append a stale pre-termination
-  /// state after that sample.
+  /// each with its last known virtual clock. Runs from watchdog_poll with
+  /// no caller locks held. Each rank's state is read and recorded under
+  /// that rank's mailbox lock, the lock its own samples take too; since a
+  /// rank declares its terminal state before it records its terminal
+  /// sample, a sweep can never append a stale pre-termination state after
+  /// that sample.
   void telemetry_scan();
 
-  /// The scheduler's idle poll: deadlock scan plus a telemetry sweep and
-  /// stream frame.
+  /// The scheduler's on_idle hook: deadlock scan plus a telemetry sweep and
+  /// stream frame. It runs as soon as every live rank is parked, and from
+  /// the 100 ms idle poll while some ranks still run.
   void watchdog_poll() {
     try_detect_deadlock();
     if (obs::TelemetrySampler* smp = sampler) {
@@ -522,9 +523,6 @@ struct Shared {
 };
 
 void Shared::try_detect_deadlock() {
-  // One scanner at a time; a busy lock means someone else is checking.
-  if (!detect_mutex.try_lock()) return;
-  std::lock_guard<std::mutex> lock(detect_mutex, std::adopt_lock);
   const std::uint64_t before = progress.load(std::memory_order_acquire);
   int blocked = 0;
   int first_blocked_sender = -1;
@@ -1219,13 +1217,16 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     }
     mb.queue.push_back(std::move(msg));
     mb.queued_bytes += n;
+    // Account under the same lock consume() subtracts under: added after
+    // the unlock, a receiver draining the message first would subtract
+    // from a counter that saturates at zero and leak this add.
+    if (shared_->budget != nullptr) shared_->budget->add_mailbox(dest, n);
     if (shared_->metrics != nullptr) queue_depth = mb.queue.size();
     if (mb.recv_waiting) {
       mb.recv_waiting = false;
       wake_receiver = true;
     }
   }
-  if (shared_->budget != nullptr) shared_->budget->add_mailbox(dest, n);
   shared_->progress.fetch_add(1, std::memory_order_release);
   if (wake_receiver) shared_->fibers->wake(dest);
   if (shared_->metrics != nullptr) {
@@ -1746,6 +1747,19 @@ void Runtime::set_fault_injector(FaultInjector* injector) {
 FaultInjector* Runtime::fault_injector() const { return shared_->faults; }
 
 void Runtime::set_recovery(RecoveryOptions options) {
+  const RetryPolicy& retry = options.retry;
+  if (retry.max_attempts < 0) {
+    throw ConfigError("retry max_attempts must be >= 0, got " +
+                      std::to_string(retry.max_attempts));
+  }
+  // A negative or non-finite backoff would run a reviving rank's virtual
+  // clock backwards, or to infinity or NaN.
+  const auto valid_backoff = [](double s) { return std::isfinite(s) && s >= 0.0; };
+  if (!valid_backoff(retry.backoff_base) || !valid_backoff(retry.backoff_max)) {
+    throw ConfigError("retry backoff must be finite and >= 0, got base " +
+                      std::to_string(retry.backoff_base) + " s, max " +
+                      std::to_string(retry.backoff_max) + " s");
+  }
   shared_->recovery = std::move(options);
 }
 

@@ -90,7 +90,9 @@ class Runtime {
   /// consumed shuffle segments are retained per rank until the consumer
   /// calls Comm::retention_epoch (the engine does so at stage boundaries),
   /// and a crashed rank revives in place and replays alone against that
-  /// retention instead of unwinding every rank (DESIGN.md §16).
+  /// retention instead of unwinding every rank (DESIGN.md §16). Throws
+  /// ConfigError, leaving the options unchanged, for a negative
+  /// `retry.max_attempts` or a negative or non-finite retry backoff.
   void set_recovery(RecoveryOptions options);
   const RecoveryOptions& recovery() const;
 
@@ -123,10 +125,11 @@ class Runtime {
   /// Attaches a telemetry sampler (nullptr to detach): ranks snapshot
   /// their own state (stage, blocked kind, mailbox depth, budget, sort
   /// progress) into the sampler's per-rank rings at comm events, and the
-  /// scheduler's idle poll sweeps parked ranks, so the rings
-  /// stay fresh even when everything is blocked. The sampler is bound to
-  /// this runtime's rank count and must outlive the runtime or be detached
-  /// first. The disabled hot path is one pointer check.
+  /// scheduler's on_idle hook (at quiescence and on the 100 ms idle poll)
+  /// sweeps parked ranks, so the rings stay fresh even when everything is
+  /// blocked. The sampler is bound to this runtime's rank count and must
+  /// outlive the runtime or be detached first. The disabled hot path is one
+  /// pointer check.
   void set_sampler(obs::TelemetrySampler* sampler);
   obs::TelemetrySampler* sampler() const;
 

@@ -52,6 +52,12 @@ namespace {
 /// space, of which only touched pages become resident.
 constexpr std::size_t kStackBytes = 256 * 1024;
 
+/// How long an idle worker waits before running on_idle anyway. Quiescence
+/// triggers on_idle at once; this backstop paces the telemetry sweep while
+/// some ranks still run, and re-scans a quiescent state that a scan left
+/// unchanged.
+constexpr std::chrono::milliseconds kIdlePoll{100};
+
 /// Per-worker switching state, living on the worker's own stack.
 struct WorkerContext {
   ucontext_t ctx;
@@ -106,15 +112,35 @@ struct FiberScheduler::Impl {
   /// scheduler lock).
   std::atomic<std::size_t> runq_len{0};
   int live = 0;               // fibers not yet done
+  /// Fibers popped from the run queue whose slice their worker has not yet
+  /// committed back (parked, re-queued or finished). An empty queue with
+  /// nothing in flight and live fibers left means every live fiber is
+  /// parked: the run is quiescent and only on_idle can move it.
+  int in_flight = 0;
+  /// Set whenever a worker commits a slice as parked or finished, cleared
+  /// by the quiescence trigger, so a quiescent state is scanned at most
+  /// once however many workers observe it.
+  bool committed_since_scan = false;
+  /// An on_idle call is in progress; the scheduler runs one at a time.
+  bool idle_running = false;
   Rng rng{1};
   bool randomized = false;
-  std::chrono::milliseconds idle_poll{100};
   const std::function<void(int)>* body = nullptr;
   const std::function<void(int)>* on_resume = nullptr;
   const std::function<void()>* on_idle = nullptr;
 
   ~Impl() {
     if (stacks != MAP_FAILED) munmap(stacks, stacks_bytes);
+  }
+
+  /// Runs on_idle with the scheduler lock dropped (`lock` holds `mutex`
+  /// on entry and on return).
+  void run_idle(std::unique_lock<std::mutex>& lock) {
+    idle_running = true;
+    lock.unlock();
+    (*on_idle)();
+    lock.lock();
+    idle_running = false;
   }
 
   static void trampoline(unsigned int hi, unsigned int lo);
@@ -260,16 +286,19 @@ void FiberScheduler::worker_main(int worker_index) {
   std::unique_lock<std::mutex> lock(im.mutex);
   while (im.live > 0) {
     if (im.runq.empty()) {
-      // Everyone is parked or running elsewhere. An idle interval with
-      // nothing runnable hands control to the deadlock scan, which fires
-      // emergency credits, virtual-deadline timeouts, or the deadlock
-      // abort — each of which wakes a fiber.
-      const bool expired =
-          im.cv.wait_for(lock, im.idle_poll) == std::cv_status::timeout;
-      if (expired && im.runq.empty() && im.live > 0) {
-        lock.unlock();
-        (*im.on_idle)();
-        lock.lock();
+      if (im.in_flight == 0 && !im.idle_running && im.committed_since_scan) {
+        // Quiescent: every live fiber is parked, and only the deadlock
+        // scan — emergency credits, virtual-deadline timeouts, the
+        // deadlock abort — can wake one. Run it now. A quiescence reached
+        // while another worker's on_idle runs is picked up by that worker
+        // when it returns here.
+        im.committed_since_scan = false;
+        im.run_idle(lock);
+        continue;
+      }
+      const bool expired = im.cv.wait_for(lock, kIdlePoll) == std::cv_status::timeout;
+      if (expired && im.runq.empty() && im.live > 0 && !im.idle_running) {
+        im.run_idle(lock);
       }
       continue;
     }
@@ -287,6 +316,7 @@ void FiberScheduler::worker_main(int worker_index) {
       im.runq.pop_front();
     }
     im.runq_len.store(im.runq.size(), std::memory_order_relaxed);
+    ++im.in_flight;
     Fiber& f = im.fibers[static_cast<std::size_t>(rank)];
     lock.unlock();
 
@@ -294,7 +324,9 @@ void FiberScheduler::worker_main(int worker_index) {
     Impl::switch_into_fiber(w, f);
 
     lock.lock();
+    --im.in_flight;
     if (f.done) {
+      im.committed_since_scan = true;
       if (--im.live == 0) im.cv.notify_all();
     } else if (f.wake_pending) {
       // A wake landed between the fiber deciding to block and the park
@@ -306,6 +338,7 @@ void FiberScheduler::worker_main(int worker_index) {
       im.cv.notify_one();
     } else {
       f.parked = true;
+      im.committed_since_scan = true;
     }
   }
 }

@@ -70,10 +70,17 @@ class FiberScheduler {
   /// blocks until all fibers have returned. `on_resume(rank)` fires on the
   /// resuming worker immediately before each slice of `rank` begins
   /// (including the first) — the runtime uses it to re-base the rank's
-  /// thread-CPU mark. `on_idle` fires on a worker that has seen no runnable
-  /// fiber for an idle-poll interval (100 ms) — the runtime points it at the deadlock
-  /// scan, which is what fires virtual-deadline timeouts and emergency
-  /// credits when every fiber is parked.
+  /// thread-CPU mark. `on_idle` fires on an idle worker, never concurrently
+  /// with itself:
+  ///  - at once when the run goes quiescent (run queue empty, no slice in
+  ///    flight, live fibers left — i.e. every live fiber is parked), at
+  ///    most once per quiescent state; a quiescence reached while on_idle
+  ///    runs is handled when it returns;
+  ///  - as a backstop, on a worker that has seen no runnable fiber for the
+  ///    idle-poll interval (100 ms), whether or not the run is quiescent.
+  /// The runtime points it at the deadlock scan, which is what fires
+  /// virtual-deadline timeouts and emergency credits when every fiber is
+  /// parked, plus the telemetry sweep of parked ranks.
   void run(const std::function<void(int)>& body,
            const std::function<void(int)>& on_resume,
            const std::function<void()>& on_idle);

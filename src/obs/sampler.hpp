@@ -10,8 +10,9 @@
 //
 // Sampling is driven from inside mpsim (see Runtime::set_sampler): ranks
 // sample themselves at comm events, rate-limited by virtual time via the
-// inline due() check, and the deadlock watchdog / fiber idle poll sweeps
-// blocked ranks so an all-parked run still produces fresh samples. The
+// inline due() check, and the fiber scheduler's on_idle hook — run as soon
+// as every rank is parked, and by the 100 ms idle poll — sweeps blocked
+// ranks so an all-parked run still produces fresh samples. The
 // disabled path is the same zero-overhead discipline obs/trace enforces:
 // one pointer check, nothing else.
 //

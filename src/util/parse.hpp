@@ -7,15 +7,19 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/error.hpp"
 
 namespace papar {
 
 /// Parses the *entire* string as a number of type T. Throws ConfigError
-/// naming `what` on empty input, trailing garbage, or overflow.
+/// naming `what` on empty input, trailing garbage, or overflow, and for
+/// floating-point T on `nan` and `inf`: no knob means anything non-finite,
+/// and NaN slips through every `x < lo || x > hi` range check.
 template <typename T>
 T parse_number(std::string_view text, std::string_view what) {
   T value{};
@@ -29,6 +33,12 @@ T parse_number(std::string_view text, std::string_view what) {
   if (res.ec != std::errc() || res.ptr != last || text.empty()) {
     throw ConfigError(std::string(what) + ": expected a number, got `" +
                       std::string(text) + "`");
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      throw ConfigError(std::string(what) + ": expected a finite number, got `" +
+                        std::string(text) + "`");
+    }
   }
   return value;
 }

@@ -4,7 +4,11 @@
 // crash, or silently-wrong default.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/workflow.hpp"
@@ -147,7 +151,9 @@ TEST(WorkflowNegative, MalformedWorkflowsAreConfigErrors) {
                ConfigError);
 }
 
-TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
+/// A one-operator roundRobin distribute over a one-field text input `in.txt`.
+core::WorkflowEngine distribute_engine(const std::string& num_partitions,
+                                       core::EngineOptions options = {}) {
   const auto spec = schema::parse_input_spec(xml::parse(R"(
       <input id="fmt" name="fmt">
         <input_format>text</input_format>
@@ -166,12 +172,18 @@ TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
             <param name="inputPath" type="String" value="$input_path"/>
             <param name="outputPath" type="String" value="$output_path"/>
             <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
-            <param name="numPartitions" type="integer" value="several"/>
+            <param name="numPartitions" type="integer" value=")" +
+                                                num_partitions + R"("/>
           </operator>
         </operators>
       </workflow>)"));
-  core::WorkflowEngine engine(std::move(wf), {{"fmt", spec}},
-                              {{"input_path", "in.txt"}, {"output_path", "out"}});
+  return core::WorkflowEngine(std::move(wf), {{"fmt", spec}},
+                              {{"input_path", "in.txt"}, {"output_path", "out"}},
+                              std::move(options));
+}
+
+TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
+  auto engine = distribute_engine("several");
   mp::Runtime rt(2, mp::NetworkModel::zero());
   try {
     engine.run(rt, {{"in.txt", "x\ny\n"}});
@@ -179,6 +191,40 @@ TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("numPartitions"), std::string::npos);
   }
+}
+
+TEST(EngineNegative, InvalidRetryPolicyIsAConfigError) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(mp::RetryPolicy&)>>> bad = {
+      {"max_attempts -1", [](mp::RetryPolicy& r) { r.max_attempts = -1; }},
+      {"backoff_base -1", [](mp::RetryPolicy& r) { r.backoff_base = -1.0; }},
+      {"backoff_base nan", [&](mp::RetryPolicy& r) { r.backoff_base = nan; }},
+      {"backoff_base inf", [&](mp::RetryPolicy& r) { r.backoff_base = inf; }},
+      {"backoff_max -1", [](mp::RetryPolicy& r) { r.backoff_max = -1.0; }},
+      {"backoff_max nan", [&](mp::RetryPolicy& r) { r.backoff_max = nan; }},
+  };
+  for (const auto& [what, edit] : bad) {
+    mp::RecoveryOptions ropts;
+    ropts.mode = mp::RecoveryMode::kLocal;
+    edit(ropts.retry);
+    mp::Runtime rt(2, mp::NetworkModel::zero());
+    EXPECT_THROW(rt.set_recovery(ropts), ConfigError) << what;
+    // A rejected policy leaves the runtime's options untouched.
+    EXPECT_EQ(rt.recovery().mode, mp::RecoveryMode::kStage) << what;
+    // The engine hands its options to set_recovery, so a run fails too.
+    core::EngineOptions options;
+    options.recovery = ropts;
+    auto engine = distribute_engine("2", options);
+    EXPECT_THROW(engine.run(rt, {{"in.txt", "x\ny\n"}}), ConfigError) << what;
+  }
+  // Zero attempts and zero backoff are valid: no replays, no waiting.
+  mp::RecoveryOptions zero;
+  zero.retry.max_attempts = 0;
+  zero.retry.backoff_base = 0.0;
+  zero.retry.backoff_max = 0.0;
+  mp::Runtime rt(2, mp::NetworkModel::zero());
+  EXPECT_NO_THROW(rt.set_recovery(zero));
 }
 
 TEST(EngineNegative, NegativeSchedulerWorkersIsAConfigError) {
@@ -205,7 +251,33 @@ TEST(ParseNumberNegative, RejectsGarbageEmptyAndOverflow) {
   }
 }
 
+TEST(ParseNumberNegative, RejectsNonFiniteFloatingPoint) {
+  EXPECT_DOUBLE_EQ(parse_number<double>("0.25", "x"), 0.25);
+  EXPECT_DOUBLE_EQ(parse_number<double>("-1e-3", "x"), -1e-3);
+  for (const char* text : {"nan", "NaN", "-nan", "nan(1)", "inf", "-inf", "INF", "infinity"}) {
+    EXPECT_THROW(parse_number<double>(text, "x"), ConfigError) << text;
+    EXPECT_THROW(parse_number<float>(text, "x"), ConfigError) << text;
+  }
+  try {
+    parse_number<double>("nan", "--retry-backoff");
+    FAIL();
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--retry-backoff"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos);
+  }
+}
+
 // -- Fault specs --------------------------------------------------------------
+
+TEST(FaultSpecNegative, NonFiniteValuesAreRejected) {
+  // A NaN probability fails every draw and silently disables its fault; an
+  // infinite delay or slowdown poisons the virtual clocks.
+  for (const char* spec : {"drop=nan", "dup=nan", "corrupt=nan", "delay=nan",
+                           "delay=0.5:nan", "delay=0.5:inf", "slow=1@nan",
+                           "slow=1@inf", "drop=inf"}) {
+    EXPECT_THROW(mp::FaultPlan::parse(spec), ConfigError) << spec;
+  }
+}
 
 TEST(FaultSpecNegative, RejectedWithTypedErrors) {
   EXPECT_THROW(mp::FaultPlan::parse("drop=2"), ConfigError);

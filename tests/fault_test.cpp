@@ -366,8 +366,10 @@ TEST(FaultRuntime, CrossRecvDeadlockIsDetectedWithDump) {
 }
 
 TEST(FaultRuntime, SlowMatchingMessageIsNotADeadlock) {
-  // One rank blocks while the other computes for longer than the watchdog
-  // period before sending: the detector must not fire.
+  // One rank blocks while the other computes for 250 ms before sending. A
+  // running rank keeps the run from going quiescent however long it runs,
+  // so the deadlock scan the 100 ms idle poll runs meanwhile must see it
+  // running and not fire.
   Runtime rt(2, NetworkModel::zero());
   rt.run([&](Comm& comm) {
     if (comm.rank() == 0) {

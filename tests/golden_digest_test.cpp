@@ -6,6 +6,7 @@
 // spilling memory budget must reproduce the recorded bytes in the recorded
 // order.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -100,8 +101,14 @@ std::uint64_t expect_golden(const Workload& w, std::uint64_t golden, bool spills
   // segmented path and, where pages are large enough, pushes the sorts and
   // rewrites past the soft watermark onto their disk-spill paths. Tracked
   // bytes are deterministic per rank, so the budget is fixed rather than
-  // derived from a (mailbox-timing dependent) high-water probe.
-  const auto dir = std::filesystem::temp_directory_path() / "papar_golden_spill";
+  // derived from a (mailbox-timing dependent) high-water probe. Each test
+  // spills into its own directory: ctest runs the tests as concurrent
+  // processes, and one test's remove_all must not race another's spills.
+  const auto dir =
+      std::filesystem::temp_directory_path() /
+      (std::string("papar_golden_spill_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+       std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   core::EngineOptions budgeted;
   budgeted.mem_budget = std::size_t{128} << 10;

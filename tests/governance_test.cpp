@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -276,6 +277,70 @@ TEST(Backpressure, DeadlockDumpNamesCreditState) {
     // The dump carries the per-rank budget/credit summary.
     EXPECT_NE(std::string(e.what()).find("tracked"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("mailbox"), std::string::npos);
+  }
+}
+
+TEST(Backpressure, CreditCycleResolvesAtQuiescence) {
+  // Each pair of ranks cross-sends 64 x 100 B through 256 B mailboxes
+  // before either receives, so every rank ends up parked on credits and
+  // only the deadlock scan's emergency credits move the run: two messages
+  // per direction fit, and the lower rank of each pair needs a credit for
+  // each of its other 62. The scan runs as soon as the last rank parks, so
+  // none of the 248 credits waits for the 100 ms idle poll.
+  constexpr int kRanks = 8;
+  constexpr int kMessages = 64;
+  const auto payload = [](int from, int i) {
+    std::vector<unsigned char> bytes(100);
+    for (std::size_t k = 0; k < bytes.size(); ++k) {
+      bytes[k] = static_cast<unsigned char>(from * 31 + i * 7 + static_cast<int>(k));
+    }
+    return bytes;
+  };
+  for (const std::uint64_t seed : {0, 2, 3}) {
+    MemoryBudget budget({.hard_limit = 1 << 20, .mailbox_limit = 256});
+    mp::Runtime rt(kRanks, mp::NetworkModel::zero(), {.workers = 4, .seed = seed});
+    rt.set_memory_budget(&budget);
+    const auto start = std::chrono::steady_clock::now();
+    rt.run([&](mp::Comm& comm) {
+      const int peer = comm.rank() ^ 1;
+      for (int i = 0; i < kMessages; ++i) comm.send(peer, 5, payload(comm.rank(), i));
+      for (int i = 0; i < kMessages; ++i) {
+        EXPECT_EQ(comm.recv(peer, 5).payload, payload(peer, i))
+            << "rank " << comm.rank() << " message " << i;
+      }
+    });
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(budget.emergency_credits(), 4u * (kMessages - 2)) << "seed " << seed;
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(budget.mailbox_used(r), 0u) << "seed " << seed << " rank " << r;
+    }
+    EXPECT_LT(wall.count(), 1.0) << "seed " << seed;
+  }
+}
+
+TEST(Backpressure, MailboxCreditsBalanceUnderConcurrentDrain) {
+  // Even ranks stream to an odd peer that drains while they send. With no
+  // mailbox cap no send blocks, and each receive races the enqueue that
+  // charged its message; every charge must still be returned. The race
+  // window is narrow, so the run repeats.
+  constexpr int kRanks = 8;
+  constexpr int kMessages = 20000;
+  for (int run = 0; run < 50; ++run) {
+    MemoryBudget budget({.hard_limit = std::size_t{1} << 30});
+    mp::Runtime rt(kRanks, mp::NetworkModel::zero(), {.workers = 4});
+    rt.set_memory_budget(&budget);
+    rt.run([&](mp::Comm& comm) {
+      const int r = comm.rank();
+      if (r % 2 == 0) {
+        const std::vector<unsigned char> bytes(64, static_cast<unsigned char>(r));
+        for (int i = 0; i < kMessages; ++i) comm.send(r + 1, 3, bytes);
+      } else {
+        for (int i = 0; i < kMessages; ++i) comm.recv(r - 1, 3);
+      }
+    });
+    for (int r = 0; r < kRanks; ++r) {
+      ASSERT_EQ(budget.mailbox_used(r), 0u) << "run " << run << " rank " << r;
+    }
   }
 }
 

@@ -128,3 +128,25 @@ foreach(workers 0 -3)
     message(FATAL_ERROR "papar --workers ${workers} was not rejected (${rc}): ${err}")
   endif()
 endforeach()
+
+# Numeric misconfiguration fails the run instead of being ignored or
+# poisoning the clocks (a negative retry-max or backoff reaches
+# Runtime::set_recovery; nan and inf never parse).
+foreach(flag "--retry-backoff;-1" "--retry-backoff;nan" "--retry-max;-1"
+             "--faults;slow=1@inf")
+  execute_process(
+    COMMAND "${PAPAR_CLI}" ${flag}
+            --input-config "${CONFIG_DIR}/graph_edge.xml"
+            --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+            --arg input_file=edges.txt
+            --arg output_path=${WORK_DIR}/parts-misconfigured/graph
+            --arg num_partitions=4
+            --arg threshold=15
+            --file edges.txt=${WORK_DIR}/edges.txt
+            --nodes 4
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "config error")
+    message(FATAL_ERROR "papar ${flag} was not rejected (${rc}): ${err}")
+  endif()
+endforeach()
