@@ -5,6 +5,7 @@
 
 #include "util/hash.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 namespace papar::core {
 
@@ -346,11 +347,7 @@ SplitCondition parse_split_condition(std::string_view text) {
   else if (op_text == "==") cond.op = SplitCondition::Op::kEq;
   else if (op_text == "!=") cond.op = SplitCondition::Op::kNe;
   else throw ConfigError("unknown split operator `" + std::string(op_text) + "`");
-  try {
-    cond.threshold = std::stoll(std::string(value_text));
-  } catch (const std::exception&) {
-    throw ConfigError("bad split threshold `" + std::string(value_text) + "`");
-  }
+  cond.threshold = parse_number<std::int64_t>(value_text, "split threshold");
   return cond;
 }
 

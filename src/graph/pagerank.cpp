@@ -32,6 +32,8 @@ namespace {
 /// Per-rank execution plan, prepared host-side (untimed ingress).
 struct LocalPlan {
   std::vector<Edge> edges;
+  /// Vertices whose master this rank is, ascending.
+  std::vector<VertexId> owned;
   /// Vertices with local in-edges whose master is elsewhere, grouped by
   /// master rank: partials to send in the apply step.
   std::vector<std::vector<VertexId>> gather_sends;  // [master rank] -> vertices
@@ -61,6 +63,7 @@ PageRankResult pagerank_distributed(const Graph& g, const GraphPartitioning& par
   for (std::size_t i = 0; i < g.edges.size(); ++i) {
     plans[parts.edge_partition[i]].edges.push_back(g.edges[i]);
   }
+  for (VertexId v = 0; v < n; ++v) plans[vertex_owner(v, p)].owned.push_back(v);
   if (parts.kind == CutKind::kEdgeCut) {
     // Edge-cut engines (Pregel/GraphLab-style) move one message per cut
     // edge every iteration — there is no mirror aggregation. In-edges of v
@@ -109,10 +112,6 @@ PageRankResult pagerank_distributed(const Graph& g, const GraphPartitioning& par
     const bool modeled = opts.modeled_edge_cost > 0.0;
     if (modeled) comm.set_compute_scale(0.0);
 
-    std::size_t owned = 0;
-    if (modeled) {
-      for (VertexId v = 0; v < n; ++v) owned += vertex_owner(v, p) == r;
-    }
     std::size_t sent_values = 0;
     for (const auto& dests : plan.gather_sends) sent_values += dests.size();
     for (const auto& dests : plan.scatter_sends) sent_values += dests.size();
@@ -124,7 +123,7 @@ PageRankResult pagerank_distributed(const Graph& g, const GraphPartitioning& par
       if (modeled) {
         comm.charge_modeled(
             opts.modeled_edge_cost * static_cast<double>(plan.edges.size()) +
-            opts.modeled_vertex_cost * static_cast<double>(owned) +
+            opts.modeled_vertex_cost * static_cast<double>(plan.owned.size()) +
             opts.modeled_value_cost * static_cast<double>(sent_values));
       }
       // Gather: fold local edges.
@@ -154,11 +153,7 @@ PageRankResult pagerank_distributed(const Graph& g, const GraphPartitioning& par
         }
       }
       // Masters apply the damping update for owned vertices.
-      for (VertexId v = 0; v < n; ++v) {
-        if (vertex_owner(v, p) == r) {
-          value[v] = base + opts.damping * acc[v];
-        }
-      }
+      for (const VertexId v : plan.owned) value[v] = base + opts.damping * acc[v];
 
       // Scatter: masters push new values to mirror partitions.
       {
@@ -186,9 +181,7 @@ PageRankResult pagerank_distributed(const Graph& g, const GraphPartitioning& par
     // Assemble the authoritative (master) values on the host.
     {
       std::lock_guard<std::mutex> lock(result_mutex);
-      for (VertexId v = 0; v < n; ++v) {
-        if (vertex_owner(v, p) == r) final_ranks[v] = value[v];
-      }
+      for (const VertexId v : plan.owned) final_ranks[v] = value[v];
     }
   });
 

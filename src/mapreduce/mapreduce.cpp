@@ -44,6 +44,18 @@ SpillConfig make_spill_config(MemoryBudget* budget, int rank) {
   return cfg;
 }
 
+/// `width` (at most 8) bytes of `s` from `from` as a big-endian integer,
+/// zero-padded past the end of `s`. Zero-padding never contradicts byte
+/// order: a < b implies be_bytes(a, 0, w) <= be_bytes(b, 0, w), and the
+/// same for later words of strings whose earlier words are equal.
+std::uint64_t be_bytes(std::string_view s, std::size_t from, std::size_t width) {
+  unsigned char buf[8] = {};
+  if (from < s.size()) std::memcpy(buf, s.data() + from, std::min(width, s.size() - from));
+  std::uint64_t x = 0;
+  for (std::size_t i = 0; i < width; ++i) x = (x << 8) | buf[i];
+  return x;
+}
+
 /// Byte order of two records with equal SortKeys under `tie`.
 bool tie_less(TieBreak tie, const KvPair& a, const KvPair& b) {
   switch (tie) {
@@ -357,19 +369,12 @@ void MapReduce::reduce(const ReduceFn& fn) {
   PhaseSpan span(comm_, "mr.reduce");
   // Stable order of record offsets by key bytes, so equal keys are adjacent
   // and values keep their page order within each group. The fixed-width key
-  // is the big-endian 8-byte prefix (zero-padded) plus min(length, 9):
-  // for keys of at most 8 bytes it decides the byte order outright, and only
-  // keys sharing a full 8-byte prefix need the byte tie-break.
+  // is the key's bytes 0-7 and 8-15, big-endian and zero-padded: only keys
+  // longer than 16 bytes, or keys that differ only in trailing NULs, need
+  // the byte tie-break.
   const auto offs = sorted_offsets(
       [](const KvPair& kv) {
-        SortKey k;
-        const std::size_t n = std::min<std::size_t>(kv.key.size(), 8);
-        for (std::size_t i = 0; i < 8; ++i) {
-          k.major = (k.major << 8) |
-                    (i < n ? static_cast<unsigned char>(kv.key[i]) : std::uint64_t{0});
-        }
-        k.minor = std::min<std::size_t>(kv.key.size(), 9);
-        return k;
+        return SortKey{be_bytes(kv.key, 0, 8), be_bytes(kv.key, 8, 8)};
       },
       TieBreak::kKey);
 
@@ -518,37 +523,45 @@ std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, TieBrea
 
 namespace {
 
-/// Splitter for sample_sort_u64 carrying the full record alongside the
-/// projection, so duplicate projections still split by byte order.
-struct CompositeSplitter {
-  std::uint64_t proj = 0;
-  std::string key;
-  std::string value;
-};
-
-bool composite_less(const CompositeSplitter& a, const CompositeSplitter& b) {
-  if (a.proj != b.proj) return a.proj < b.proj;
-  if (a.key != b.key) return a.key < b.key;
-  return a.value < b.value;
-}
-
-/// View-side record for heterogeneous lower/upper_bound against splitters.
-struct RecordView {
+/// A sampled record, and a sample_sort_u64 splitter: the directed
+/// projection plus, for composite splitters, views of the record's bytes.
+struct SampleView {
   std::uint64_t proj = 0;
   std::string_view key;
   std::string_view value;
 };
 
-bool splitter_less_record(const CompositeSplitter& s, const RecordView& r) {
-  if (s.proj != r.proj) return s.proj < r.proj;
-  if (std::string_view(s.key) != r.key) return std::string_view(s.key) < r.key;
-  return std::string_view(s.value) < r.value;
+/// The sort's total order: projection, then key bytes, then value bytes.
+bool sample_less(const SampleView& a, const SampleView& b) {
+  if (a.proj != b.proj) return a.proj < b.proj;
+  const int by_key = a.key.compare(b.key);
+  return by_key != 0 ? by_key < 0 : a.value < b.value;
 }
 
-bool record_less_splitter(const RecordView& r, const CompositeSplitter& s) {
-  if (r.proj != s.proj) return r.proj < s.proj;
-  if (r.key != std::string_view(s.key)) return r.key < std::string_view(s.key);
-  return r.value < std::string_view(s.value);
+/// Sample wire format: [u64 proj], then for composite samples
+/// [u64 key length][key][u64 value length][value].
+void put_sample(ByteWriter& w, const SampleView& s, bool composite) {
+  w.put<std::uint64_t>(s.proj);
+  if (!composite) return;
+  w.put<std::uint64_t>(s.key.size());
+  w.put_bytes(s.key.data(), s.key.size());
+  w.put<std::uint64_t>(s.value.size());
+  w.put_bytes(s.value.data(), s.value.size());
+}
+
+/// Appends the samples in `bytes` to `out` as views into `bytes`.
+void read_samples(const std::vector<unsigned char>& bytes, bool composite,
+                  std::vector<SampleView>& out) {
+  ByteReader r(bytes);
+  while (!r.done()) {
+    SampleView s;
+    s.proj = r.get<std::uint64_t>();
+    if (composite) {
+      s.key = r.get_bytes(r.get<std::uint64_t>());
+      s.value = r.get_bytes(r.get<std::uint64_t>());
+    }
+    out.push_back(s);
+  }
 }
 
 }  // namespace
@@ -582,8 +595,9 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
   // exists as the ablation's imbalanced baseline.
   if (p > 1) {
     const bool composite = method == SplitterMethod::kSampled && tie_break_bytes;
-    std::vector<std::uint64_t> splitters;            // p-1 boundaries (plain)
-    std::vector<CompositeSplitter> csplitters;       // p-1 boundaries (composite)
+    std::vector<std::uint64_t> splitters;       // p-1 boundaries (plain)
+    std::vector<unsigned char> splitter_bytes;  // the bytes csplitters view
+    std::vector<SampleView> csplitters;         // p-1 boundaries (composite)
     if (method == SplitterMethod::kSampled) {
       // Evenly spaced local sample of up to oversample*p records.
       const auto offs = page_.offsets();
@@ -594,44 +608,33 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
       for (std::size_t i = 0; i < want; ++i) {
         const std::size_t idx = i * offs.size() / want;
         const auto kv = page_.at(offs[idx]);
-        w.put<std::uint64_t>(directed(kv));
-        if (composite) {
-          w.put<std::uint64_t>(kv.key.size());
-          w.put_bytes(kv.key.data(), kv.key.size());
-          w.put<std::uint64_t>(kv.value.size());
-          w.put_bytes(kv.value.data(), kv.value.size());
-        }
+        put_sample(w, SampleView{directed(kv), kv.key, kv.value}, composite);
       }
-      auto all = comm_->allgather(w.take());
-      std::vector<CompositeSplitter> sample;
-      for (const auto& part : all) {
-        ByteReader r(part);
-        while (!r.done()) {
-          CompositeSplitter c;
-          c.proj = r.get<std::uint64_t>();
-          if (composite) {
-            const auto klen = r.get<std::uint64_t>();
-            const auto kview = r.get_bytes(klen);
-            c.key.assign(kview.begin(), kview.end());
-            const auto vlen = r.get<std::uint64_t>();
-            const auto vview = r.get_bytes(vlen);
-            c.value.assign(vview.begin(), vview.end());
+      // Rank 0 alone sorts the gathered sample and broadcasts the p-1
+      // splitters at ranks i*n/p; equal samples are byte-identical, so the
+      // unstable sort cannot change which bytes are picked. The same
+      // gather-then-bcast an allgather makes, so message counts and fault
+      // event numbering do not depend on this choice.
+      ByteWriter picked;
+      {
+        const auto gathered = comm_->gather(0, w.take());
+        if (comm_->rank() == 0) {
+          std::vector<SampleView> sample;
+          for (const auto& part : gathered) read_samples(part, composite, sample);
+          std::sort(sample.begin(), sample.end(), sample_less);
+          for (int i = 1; i < p; ++i) {
+            // No records anywhere: the boundary value is never consulted.
+            const SampleView s =
+                sample.empty()
+                    ? SampleView{std::numeric_limits<std::uint64_t>::max(), {}, {}}
+                    : sample[static_cast<std::size_t>(i) * sample.size() /
+                             static_cast<std::size_t>(p)];
+            put_sample(picked, s, composite);
           }
-          sample.push_back(std::move(c));
         }
       }
-      std::sort(sample.begin(), sample.end(), composite_less);
-      for (int i = 1; i < p; ++i) {
-        if (sample.empty()) {
-          // No records anywhere; the boundary value is never consulted.
-          CompositeSplitter c;
-          c.proj = std::numeric_limits<std::uint64_t>::max();
-          csplitters.push_back(std::move(c));
-        } else {
-          csplitters.push_back(
-              sample[static_cast<std::size_t>(i) * sample.size() / static_cast<std::size_t>(p)]);
-        }
-      }
+      splitter_bytes = comm_->bcast(0, picked.take());
+      read_samples(splitter_bytes, composite, csplitters);
       if (!composite) {
         splitters.reserve(csplitters.size());
         for (const auto& c : csplitters) splitters.push_back(c.proj);
@@ -663,7 +666,7 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
     // Splitters must be non-decreasing or routing would break sortedness.
     if (composite) {
       for (std::size_t i = 1; i < csplitters.size(); ++i) {
-        PAPAR_CHECK_MSG(!composite_less(csplitters[i], csplitters[i - 1]),
+        PAPAR_CHECK_MSG(!sample_less(csplitters[i], csplitters[i - 1]),
                         "sample-sort splitters must be non-decreasing");
       }
     } else {
@@ -683,12 +686,12 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
       std::size_t lo_idx;
       std::size_t hi_idx;
       if (composite) {
-        const RecordView r{x, kv.key, kv.value};
+        const SampleView r{x, kv.key, kv.value};
         lo_idx = static_cast<std::size_t>(
-            std::lower_bound(csplitters.begin(), csplitters.end(), r, splitter_less_record) -
+            std::lower_bound(csplitters.begin(), csplitters.end(), r, sample_less) -
             csplitters.begin());
         hi_idx = static_cast<std::size_t>(
-            std::upper_bound(csplitters.begin(), csplitters.end(), r, record_less_splitter) -
+            std::upper_bound(csplitters.begin(), csplitters.end(), r, sample_less) -
             csplitters.begin());
       } else {
         lo_idx = static_cast<std::size_t>(
@@ -702,9 +705,19 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
   }
 
   // Final stable local sort by the directed projection (full-byte
-  // tie-break makes the order total when requested).
-  sort_by_key([&directed](const KvPair& kv) { return SortKey{directed(kv), 0}; },
-              tie_break_bytes ? TieBreak::kKeyValue : TieBreak::kNone);
+  // tie-break makes the order total when requested). Under the tie-break
+  // the minor key is a prefix of (key bytes, value bytes) that never
+  // contradicts their order — empty keys first by their value's first 7
+  // bytes, other keys above bit 56 by their own first 7 — so only records
+  // equal in both words reach the byte comparator.
+  sort_by_key(
+      [&directed, tie_break_bytes](const KvPair& kv) {
+        if (!tie_break_bytes) return SortKey{directed(kv), 0};
+        return SortKey{directed(kv), kv.key.empty()
+                                         ? be_bytes(kv.value, 0, 7)
+                                         : (std::uint64_t{1} << 56) | be_bytes(kv.key, 0, 7)};
+      },
+      tie_break_bytes ? TieBreak::kKeyValue : TieBreak::kNone);
 }
 
 void MapReduce::gather(int root) {

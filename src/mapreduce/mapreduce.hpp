@@ -30,8 +30,9 @@ namespace papar::mr {
 
 /// How sample_sort_u64 chooses reducer range splitters.
 enum class SplitterMethod {
-  /// Sample keys on every rank and allgather (the paper's approach,
-  /// after Gufler et al. [9]).
+  /// Sample keys on every rank and gather them at rank 0, which sorts the
+  /// sample and broadcasts the p-1 splitters (the paper's approach, after
+  /// Gufler et al. [9]).
   kSampled,
   /// Linear interpolation between the global min and max key. Cheap but
   /// badly imbalanced on skewed distributions; kept for the ablation.

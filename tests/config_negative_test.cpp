@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/operators.hpp"
 #include "core/workflow.hpp"
 #include "mpsim/fault.hpp"
 #include "schema/input_config.hpp"
@@ -286,6 +287,23 @@ TEST(FaultSpecNegative, RejectedWithTypedErrors) {
   EXPECT_THROW(mp::FaultPlan::parse("crash=@4"), ConfigError);
   EXPECT_THROW(mp::FaultPlan::parse("unknown_knob=1"), ConfigError);
   EXPECT_THROW(mp::FaultPlan::parse_arg("/does/not/exist.conf"), ConfigError);
+}
+
+// -- Split conditions ---------------------------------------------------------
+
+TEST(SplitConditionNegative, MalformedThresholdsAreRejectedNotTruncated) {
+  // Each of these once parsed as its leading digits: 200, 2, 1 and 22.
+  for (const char* text : {"{>=, 200abc}", "{>=, 2.5}", "{<, 1e3}", "{>=, 22.9}",
+                           "{>=, 22abc}", "{>=, }", "{<, 99999999999999999999}"}) {
+    EXPECT_THROW(core::parse_split_condition(text), ConfigError) << text;
+  }
+  try {
+    core::parse_split_condition("{>=, 2.5}");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("split threshold"), std::string::npos);
+  }
+  EXPECT_EQ(core::parse_split_condition("{<, -7}").threshold, -7);
 }
 
 }  // namespace

@@ -383,6 +383,137 @@ TEST(MapReduce, SampleSortTieBreakBytesGlobalTotalOrder) {
   });
 }
 
+/// Records whose byte order the sort's minor word cannot settle alone:
+/// empty and non-empty keys, values sharing 7-byte prefixes, trailing NULs
+/// and bytes >= 0x80, drawn mostly from small sets so projections, minor
+/// words and whole records all tie.
+std::vector<std::pair<std::string, std::string>> tie_break_records(std::size_t n,
+                                                                   std::uint64_t seed) {
+  static const std::vector<std::string> keys = {
+      std::string(),
+      std::string(),
+      std::string("k"),
+      std::string("k\0", 2),
+      std::string("prefix7"),
+      std::string("prefix7\0", 8),
+      std::string("prefix7x"),
+      std::string("\x80\xff"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff\x01", 9),
+  };
+  static const std::vector<std::string> values = {
+      std::string(),
+      std::string("\0", 1),
+      std::string("sevenby"),
+      std::string("sevenby\0", 8),
+      std::string("sevenby\0\0", 9),
+      std::string("sevenbya"),
+      std::string("sevenby\x80"),
+      std::string("sevenby\xff\x01", 9),
+      std::string("\x80\x80\x80\x80\x80\x80\x80\x80"),
+      std::string("\xff"),
+  };
+  Rng rng(seed);
+  std::vector<std::pair<std::string, std::string>> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string key = keys[rng.next_below(keys.size())];
+    std::string value;
+    if (rng.next_below(4) == 0) {
+      value.resize(rng.next_below(12));
+      for (auto& c : value) {
+        c = static_cast<char>(rng.next_below(4) == 0 ? 0 : rng.next_below(256));
+      }
+    } else {
+      value = values[rng.next_below(values.size())];
+    }
+    out.emplace_back(std::move(key), std::move(value));
+  }
+  return out;
+}
+
+/// Sorts tie_break_records on `p` ranks with tie_break_bytes and checks the
+/// concatenated rank pages against one host-side sort of (projection, key,
+/// value), and how many ranks' final local sorts took the radix path.
+void expect_tie_break_total_order(int p, std::size_t per_rank, bool ascending,
+                                  std::uint64_t radix_sorts) {
+  using Rec = std::tuple<std::uint64_t, std::string, std::string>;
+  // Lossy: three projections over every key and value length.
+  const auto proj = [](std::string_view key, std::string_view value) -> std::uint64_t {
+    return (key.size() + value.size()) % 3;
+  };
+  std::vector<std::vector<std::pair<std::string, std::string>>> input;
+  std::vector<Rec> expected;
+  for (int r = 0; r < p; ++r) {
+    input.push_back(tie_break_records(per_rank, 900 + static_cast<std::uint64_t>(r)));
+    for (const auto& [k, v] : input.back()) expected.emplace_back(proj(k, v), k, v);
+  }
+  std::sort(expected.begin(), expected.end(), [ascending](const Rec& a, const Rec& b) {
+    if (std::get<0>(a) != std::get<0>(b)) {
+      return ascending ? std::get<0>(a) < std::get<0>(b) : std::get<0>(a) > std::get<0>(b);
+    }
+    return std::tie(std::get<1>(a), std::get<2>(a)) < std::tie(std::get<1>(b), std::get<2>(b));
+  });
+
+  std::vector<std::vector<Rec>> pages(static_cast<std::size_t>(p));
+  obs::Recorder recorder;
+  mp::Runtime rt(p, mp::NetworkModel::zero());
+  rt.set_recorder(&recorder);
+  rt.run([&](mp::Comm& comm) {
+    MapReduce mr(comm);
+    for (const auto& [k, v] : input[static_cast<std::size_t>(comm.rank())]) {
+      mr.mutable_local().add(k, v);
+    }
+    mr.sample_sort_u64(proj, ascending, SplitterMethod::kSampled, 32,
+                       /*tie_break_bytes=*/true);
+    auto& page = pages[static_cast<std::size_t>(comm.rank())];
+    mr.local().for_each([&](std::string_view k, std::string_view v) {
+      page.emplace_back(proj(k, v), std::string(k), std::string(v));
+    });
+  });
+  std::vector<Rec> got;
+  for (const auto& page : pages) got.insert(got.end(), page.begin(), page.end());
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(recorder.counter("sort.engine_radix"), radix_sorts);
+}
+
+TEST(MapReduce, SampleSortTieBreakBytesTotalOrderOnTheRadixPath) {
+  // Every rank ends past sortlib::kRadixAutoCutoff, so the final local sort
+  // orders ties by the minor word first and the byte comparator after.
+  for (const bool ascending : {true, false}) {
+    SCOPED_TRACE(ascending ? "ascending" : "descending");
+    expect_tie_break_total_order(4, 12000, ascending, /*radix_sorts=*/4);
+  }
+}
+
+TEST(MapReduce, SampleSortTieBreakBytesTotalOrderAt64Ranks) {
+  // Rank 0 picks 63 composite splitters from the gathered sample.
+  expect_tie_break_total_order(64, 300, /*ascending=*/true, /*radix_sorts=*/0);
+}
+
+TEST(MapReduce, SampleSortBroadcastsOnlyTheSplitters) {
+  // Rank 0 sorts the gathered sample and broadcasts only the p-1 splitters.
+  // Broadcasting the whole sample (p * 200 records here) down the tree
+  // would ship about 33 MB.
+  const int p = 64;
+  mp::Runtime rt(p, mp::NetworkModel::zero());
+  const auto stats = rt.run([](mp::Comm& comm) {
+    MapReduce mr(comm);
+    Rng rng(300 + static_cast<std::uint64_t>(comm.rank()));
+    for (int i = 0; i < 200; ++i) {
+      std::string value(16, '\0');
+      for (auto& c : value) c = static_cast<char>(rng.next_below(256));
+      mr.mutable_local().add("", value);
+    }
+    mr.sample_sort_u64(
+        [](std::string_view, std::string_view value) { return key_u64(value); }, true,
+        SplitterMethod::kSampled, 32, /*tie_break_bytes=*/true);
+  });
+  EXPECT_LT(stats.remote_bytes, 2'000'000u);
+  // One gather, one binomial-tree bcast and one alltoallv: the messages of
+  // an allgather followed by the shuffle.
+  EXPECT_EQ(stats.remote_messages, static_cast<std::uint64_t>((p - 1) + (p - 1) + p * (p - 1)));
+}
+
 TEST(MapReduce, MapKvTransformsInPlace) {
   mp::Runtime rt(2, mp::NetworkModel::zero());
   rt.run([](mp::Comm& comm) {

@@ -129,6 +129,24 @@ foreach(workers 0 -3)
   endif()
 endforeach()
 
+# A split threshold that is not a whole number fails the run instead of
+# being truncated to its leading digits.
+execute_process(
+  COMMAND "${PAPAR_CLI}"
+          --input-config "${CONFIG_DIR}/graph_edge.xml"
+          --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+          --arg input_file=edges.txt
+          --arg output_path=${WORK_DIR}/parts-bad-threshold/graph
+          --arg num_partitions=4
+          --arg threshold=22.9
+          --file edges.txt=${WORK_DIR}/edges.txt
+          --nodes 4
+  RESULT_VARIABLE rc
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "config error.*split threshold")
+  message(FATAL_ERROR "papar --arg threshold=22.9 was not rejected (${rc}): ${err}")
+endif()
+
 # Numeric misconfiguration fails the run instead of being ignored or
 # poisoning the clocks (a negative retry-max or backoff reaches
 # Runtime::set_recovery; nan and inf never parse).
