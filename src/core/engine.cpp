@@ -504,7 +504,7 @@ PartitionResult WorkflowEngine::run(
 
   auto body = [&](mp::Comm& comm) {
     // Stage labels feed both the causal tracer and the memory budget's
-    // rank -> stage high-water breakdown (and BudgetExceededError's text).
+    // errors (BudgetExceededError's text, the deadlock dump).
     auto enter_stage = [&](const std::string& name) {
       comm.set_trace_stage(name);
       if (auto* b = comm.memory_budget()) b->set_stage(comm.rank(), name);

@@ -49,21 +49,35 @@ double read_double_field(const schema::Schema& schema, std::string_view wire,
   return static_cast<double>(read_int_field(schema, wire, field));
 }
 
-/// Projects a wire record of `in` onto `out` by field name (types must
-/// match), appending into `projected` (cleared first). Used by the final
-/// distribute to drop add-on attributes without per-record allocation;
-/// `ranges` is caller-owned scratch hoisted out of the record loop.
-void project_record_into(const schema::Schema& in, const schema::Schema& out,
-                         std::string_view wire, std::string& projected,
-                         std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
-  field_ranges_into(in, wire, ranges);
-  projected.clear();
+/// Maps each field of `out` to the index of the same-named field of `in`.
+/// Throws ConfigError when `in` lacks a field or gives it another type.
+std::vector<std::size_t> projection_fields(const schema::Schema& in,
+                                           const schema::Schema& out) {
+  std::vector<std::size_t> fields;
+  fields.reserve(out.field_count());
   for (std::size_t i = 0; i < out.field_count(); ++i) {
     const auto& target = out.field(i);
     const std::size_t src = in.required_index(target.name);
     if (in.field(src).type != target.type) {
       throw ConfigError("field `" + target.name + "` changes type across schemas");
     }
+    fields.push_back(src);
+  }
+  return fields;
+}
+
+/// Projects a wire record of `in` onto the fields listed by
+/// projection_fields(), appending into `projected` (cleared first). Used by
+/// the final distribute to drop add-on attributes without per-record
+/// allocation; `ranges` is caller-owned scratch hoisted out of the record
+/// loop.
+void project_record_into(const schema::Schema& in,
+                         const std::vector<std::size_t>& fields,
+                         std::string_view wire, std::string& projected,
+                         std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
+  field_ranges_into(in, wire, ranges);
+  projected.clear();
+  for (const std::size_t src : fields) {
     const auto [off, len] = ranges.at(src);
     projected.append(wire.substr(off, len));
   }
@@ -419,6 +433,14 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
   for (std::size_t d = 0; d < inputs.size(); ++d) {
     Dataset& ds = *inputs[d];
 
+    // Resolve the projection onto the output schema here, once, before the
+    // first collective: every rank holds the same schemas, so a misnamed or
+    // retyped field fails on every rank at the same point, records or not.
+    const bool needs_projection = !(ds.schema == out_schema);
+    const std::vector<std::size_t> projection =
+        needs_projection ? projection_fields(ds.schema, out_schema)
+                         : std::vector<std::size_t>{};
+
     // Global entry/record offsets for this rank via allgather. The paper
     // applies the permutation matrix to the (logically global) data vector;
     // the offsets let each mapper evaluate its rows locally.
@@ -480,7 +502,6 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
     // Receiver side: unpack, project onto the output schema (dropping
     // add-on attributes so output format equals input format), and stamp
     // individual records.
-    const bool needs_projection = !(ds.schema == out_schema);
     std::string projected;
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
     mr.mutable_local().for_each([&](std::string_view key, std::string_view value) {
@@ -492,7 +513,7 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
       auto emit_record = [&](std::string_view rec) {
         std::string_view out_rec = rec;
         if (needs_projection) {
-          project_record_into(ds.schema, out_schema, rec, projected, ranges);
+          project_record_into(ds.schema, projection, rec, projected, ranges);
           out_rec = projected;
         }
         const std::uint64_t st = content_stamps ? key_hash(out_rec) : stamp + member;

@@ -56,24 +56,15 @@ std::string MemoryBudget::stage(int rank) const {
 }
 
 void MemoryBudget::bump_high_water(RankSlot& slot) noexcept {
-  const std::size_t total = slot.used.load(std::memory_order_relaxed) +
-                            slot.mailbox.load(std::memory_order_relaxed);
+  // The increments in acquire() and add_mailbox() and these two loads are
+  // sequentially consistent, so the bump after the last of several
+  // concurrent increments sees all of them: holders that overlap peak at
+  // exactly their sum. On x86 this costs nothing over relaxed ordering.
+  const std::size_t total = slot.used.load() + slot.mailbox.load();
   std::size_t prev = slot.high_water.load(std::memory_order_relaxed);
   while (total > prev &&
          !slot.high_water.compare_exchange_weak(prev, total,
                                                 std::memory_order_relaxed)) {
-  }
-  if (total > prev) {
-    // Fold the new peak into the per-stage breakdown. Taking the stage
-    // mutex here is fine: peaks are rare relative to acquire/release.
-    std::string stage_name;
-    {
-      std::lock_guard<std::mutex> lock(slot.stage_mutex);
-      stage_name = slot.stage;
-    }
-    std::lock_guard<std::mutex> lock(stage_hw_mutex_);
-    std::size_t& hw = stage_high_water_[stage_name];
-    if (total > hw) hw = total;
   }
 }
 
@@ -84,7 +75,7 @@ void MemoryBudget::acquire(int rank, std::size_t bytes) {
     throw std::bad_alloc();
   }
   RankSlot& slot = *ranks_[static_cast<std::size_t>(rank)];
-  const std::size_t before = slot.used.fetch_add(bytes, std::memory_order_relaxed);
+  const std::size_t before = slot.used.fetch_add(bytes);
   if (cfg_.hard_limit > 0 && before + bytes > cfg_.hard_limit) {
     slot.used.fetch_sub(bytes, std::memory_order_relaxed);
     throw BudgetExceededError(rank, stage(rank), bytes, before, cfg_.hard_limit,
@@ -138,7 +129,7 @@ bool MemoryBudget::should_spill(int rank, std::size_t projected_extra) const {
 void MemoryBudget::add_mailbox(int rank, std::size_t bytes) noexcept {
   if (rank < 0 || rank >= nranks()) return;
   RankSlot& slot = *ranks_[static_cast<std::size_t>(rank)];
-  slot.mailbox.fetch_add(bytes, std::memory_order_relaxed);
+  slot.mailbox.fetch_add(bytes);
   bump_high_water(slot);
 }
 
@@ -183,11 +174,6 @@ void MemoryBudget::note_emergency_credit(int rank) {
   (void)rank;
   emergency_credits_.fetch_add(1, std::memory_order_relaxed);
   emit("mem.emergency_credits", 1);
-}
-
-std::map<std::string, std::size_t> MemoryBudget::stage_high_water() const {
-  std::lock_guard<std::mutex> lock(stage_hw_mutex_);
-  return stage_high_water_;
 }
 
 void MemoryBudget::fail_allocation_after(std::uint64_t n) {

@@ -25,16 +25,19 @@
 // The high-water mark reported per rank is the peak of tracked + mailbox
 // bytes, which is the quantity an operator would provision for.
 //
-// Threading: all mutation paths are thread-safe; ranks are threads in
-// mpsim. Counter totals are plain atomics. The optional counter hook is
-// invoked outside any lock and must be installed before the run starts.
+// Threading: all mutation paths are thread-safe; ranks run concurrently in
+// mpsim, and a sender accounts mailbox bytes on the destination's slot.
+// Usage, peaks and counter totals are plain atomics, and peak tracking is a
+// lock-free compare-and-swap max, because acquire() runs once per record on
+// a spooling rank. Only the stage label takes a per-rank mutex; it is kept
+// for BudgetExceededError and the deadlock dump. The optional counter hook
+// is invoked outside any lock and must be installed before the run starts.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -95,9 +98,8 @@ class MemoryBudget {
   const MemoryBudgetConfig& config() const { return cfg_; }
   int nranks() const { return static_cast<int>(ranks_.size()); }
 
-  /// Labels subsequent accounting on `rank` with a stage name ("job:group",
-  /// "setup", ...). Feeds the rank->stage high-water breakdown and the
-  /// stage named by BudgetExceededError.
+  /// Labels `rank` with a stage name ("job:group", "setup", ...): the stage
+  /// BudgetExceededError and describe() name.
   void set_stage(int rank, const std::string& stage);
   std::string stage(int rank) const;
 
@@ -136,10 +138,6 @@ class MemoryBudget {
   std::uint64_t backpressure_stalls() const { return backpressure_stalls_.load(std::memory_order_relaxed); }
   std::uint64_t emergency_credits() const { return emergency_credits_.load(std::memory_order_relaxed); }
 
-  /// Per-stage peak tracked+mailbox bytes, max over ranks. The hierarchical
-  /// rank->stage view used by reports.
-  std::map<std::string, std::size_t> stage_high_water() const;
-
   /// Installs a callback invoked on budget events with obs-style counter
   /// names ("mem.spill_bytes", "mem.backpressure_stalls", ...). Install
   /// before the run; invoked concurrently from rank threads.
@@ -173,9 +171,6 @@ class MemoryBudget {
   std::atomic<std::uint64_t> soft_crossings_{0};
   std::atomic<std::uint64_t> backpressure_stalls_{0};
   std::atomic<std::uint64_t> emergency_credits_{0};
-
-  mutable std::mutex stage_hw_mutex_;
-  std::map<std::string, std::size_t> stage_high_water_;
 
   std::atomic<std::int64_t> fail_after_{-1};
 

@@ -152,21 +152,26 @@ TEST(WorkflowNegative, MalformedWorkflowsAreConfigErrors) {
                ConfigError);
 }
 
+constexpr const char* kStringFieldA = R"(<value name="a" type="String"/>)";
+
+/// A one-field text format whose field is `value` (a `<value>` element).
+schema::InputSpec one_field_spec(const std::string& id, const std::string& value) {
+  return schema::parse_input_spec(xml::parse(
+      "<input id=\"" + id + "\" name=\"" + id +
+      "\"><input_format>text</input_format><element>" + value +
+      R"(<delimiter value="\n"/></element></input>)"));
+}
+
 /// A one-operator roundRobin distribute over a one-field text input `in.txt`.
-core::WorkflowEngine distribute_engine(const std::string& num_partitions,
-                                       core::EngineOptions options = {}) {
-  const auto spec = schema::parse_input_spec(xml::parse(R"(
-      <input id="fmt" name="fmt">
-        <input_format>text</input_format>
-        <element>
-          <value name="a" type="String"/><delimiter value="\n"/>
-        </element>
-      </input>)"));
+/// The output format's field is `output_value` (default: the input's).
+core::WorkflowEngine distribute_engine(
+    const std::string& num_partitions, core::EngineOptions options = {},
+    const std::string& output_value = kStringFieldA) {
   auto wf = core::parse_workflow(xml::parse(R"(
       <workflow id="w">
         <arguments>
           <param name="input_path" type="hdfs" format="fmt"/>
-          <param name="output_path" type="hdfs" format="fmt"/>
+          <param name="output_path" type="hdfs" format="outfmt"/>
         </arguments>
         <operators>
           <operator id="distr" operator="Distribute">
@@ -178,7 +183,9 @@ core::WorkflowEngine distribute_engine(const std::string& num_partitions,
           </operator>
         </operators>
       </workflow>)"));
-  return core::WorkflowEngine(std::move(wf), {{"fmt", spec}},
+  return core::WorkflowEngine(std::move(wf),
+                              {{"fmt", one_field_spec("fmt", kStringFieldA)},
+                               {"outfmt", one_field_spec("outfmt", output_value)}},
                               {{"input_path", "in.txt"}, {"output_path", "out"}},
                               std::move(options));
 }
@@ -191,6 +198,29 @@ TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("numPartitions"), std::string::npos);
+  }
+}
+
+TEST(EngineNegative, UnprojectableOutputFormatFailsEvenOnEmptyInput) {
+  // An output format that renames or retypes the input's field cannot be
+  // projected onto; that must fail the run whether or not a rank holds a
+  // record to project.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"(<value name="b" type="String"/>)", "`b`"},
+      {R"(<value name="a" type="integer"/>)", "changes type"},
+  };
+  for (const auto& [value, message] : bad) {
+    for (const std::string input : {"x\ny\n", ""}) {
+      auto engine = distribute_engine("2", {}, value);
+      mp::Runtime rt(2, mp::NetworkModel::zero());
+      try {
+        engine.run(rt, {{"in.txt", input}});
+        ADD_FAILURE() << "expected ConfigError: " << value << " over "
+                      << input.size() << " input bytes";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+      }
+    }
   }
 }
 

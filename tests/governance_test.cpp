@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <new>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -74,9 +76,37 @@ TEST(MemoryBudget, HighWaterCombinesTrackedAndMailbox) {
   budget.sub_mailbox(0, 200);
   budget.release(0, 300);
   EXPECT_EQ(budget.high_water(0), 500u);  // peak, not current
-  const auto by_stage = budget.stage_high_water();
-  ASSERT_TRUE(by_stage.count("job:group"));
-  EXPECT_EQ(by_stage.at("job:group"), 500u);
+}
+
+TEST(MemoryBudget, ConcurrentHoldersPeakAtTheirExactSum) {
+  // Several threads account distinct tracked and mailbox amounts on one
+  // rank, all hold them at once, then release. The lock-free peak must be
+  // the exact sum, whichever thread bumps last.
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 50; ++round) {
+    MemoryBudget budget({.hard_limit = 1 << 20, .mailbox_limit = 1 << 20});
+    budget.bind(2);
+    std::latch holding(kThreads);
+    std::size_t expected = 0;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      const std::size_t tracked = 100 + static_cast<std::size_t>(t);
+      const std::size_t mailbox = 1000 * static_cast<std::size_t>(t + 1);
+      expected += tracked + mailbox;
+      threads.emplace_back([&budget, &holding, tracked, mailbox] {
+        budget.acquire(0, tracked);
+        budget.add_mailbox(0, mailbox);
+        holding.arrive_and_wait();
+        budget.sub_mailbox(0, mailbox);
+        budget.release(0, tracked);
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(budget.high_water(0), expected) << "round " << round;
+    EXPECT_EQ(budget.used(0), 0u);
+    EXPECT_EQ(budget.mailbox_used(0), 0u);
+    EXPECT_EQ(budget.high_water(1), 0u);
+  }
 }
 
 TEST(MemoryBudget, FailAllocationAfterInjectsBadAlloc) {

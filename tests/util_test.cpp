@@ -1,15 +1,19 @@
 // Unit tests for src/util: byte serialization, RNG determinism and
-// distributions, hashing, thread pool, timers, error machinery.
+// distributions, hashing, CRC32C, thread pool, timers, error machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/bytes.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -144,6 +148,55 @@ TEST(Hash, KeyHashSpreadsShortIntegers) {
     buckets.insert(key_hash(key) % 16);
   }
   EXPECT_EQ(buckets.size(), 16u);
+}
+
+TEST(Crc32c, MatchesKnownAnswersOnBothPaths) {
+  std::vector<unsigned char> zeros(32, 0x00), ones(32, 0xFF), up(32), down(32);
+  for (int i = 0; i < 32; ++i) {
+    up[static_cast<std::size_t>(i)] = static_cast<unsigned char>(i);
+    down[static_cast<std::size_t>(i)] = static_cast<unsigned char>(31 - i);
+  }
+  const std::string check = "123456789";
+  const std::vector<std::pair<std::vector<unsigned char>, std::uint32_t>> cases = {
+      {{check.begin(), check.end()}, 0xE3069283u},
+      // RFC 3720 section B.4.
+      {zeros, 0x8A9136AAu},
+      {ones, 0x62A8AB43u},
+      {up, 0x46DD794Eu},
+      {down, 0x113FDB5Cu},
+  };
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(crc32c(bytes.data(), bytes.size()), want);
+    EXPECT_EQ(crc32c_extend_slice4(0, bytes.data(), bytes.size()), want);
+  }
+  EXPECT_EQ(crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, DispatchedPathAgreesWithSliceBy4) {
+  std::vector<unsigned char> buf(64 + 8);
+  Rng rng(7);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+  // Every length 0..64 at every start offset 0..7 covers each word
+  // alignment and each tail length of both implementations.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(crc32c(buf.data() + off, len),
+                crc32c_extend_slice4(0, buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  // Streaming: a buffer checksummed in pieces equals the one-shot value.
+  std::vector<unsigned char> big(4099);
+  for (auto& b : big) b = static_cast<unsigned char>(rng.next_below(256));
+  const std::uint32_t whole = crc32c_extend_slice4(0, big.data(), big.size());
+  EXPECT_EQ(crc32c(big.data(), big.size()), whole);
+  for (std::size_t piece : {1u, 3u, 7u, 8u, 13u, 64u, 1000u}) {
+    std::uint32_t crc = 0;
+    for (std::size_t pos = 0; pos < big.size(); pos += piece) {
+      crc = crc32c_extend(crc, big.data() + pos, std::min(piece, big.size() - pos));
+    }
+    EXPECT_EQ(crc, whole) << "piece " << piece;
+  }
 }
 
 TEST(ThreadPool, RunsAllTasks) {
