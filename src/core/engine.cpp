@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <limits>
 
 #include "mapreduce/checkpoint.hpp"
 #include "obs/metrics.hpp"
@@ -13,6 +14,7 @@
 #include "util/log.hpp"
 #include "util/membudget.hpp"
 #include "util/parse.hpp"
+#include "util/thread_pool.hpp"
 
 namespace papar::core {
 
@@ -104,6 +106,20 @@ std::map<std::string, Dataset> decode_datasets(const std::vector<unsigned char>&
   }
   PAPAR_CHECK_MSG(r.done(), "trailing bytes in dataset checkpoint");
   return datasets;
+}
+
+/// A workflow without a distribute: `ds` as a one-partition dataset, every
+/// record keyed to partition 0 in page order.
+DistributedDataset as_one_partition(Dataset ds) {
+  if (ds.format == DataFormat::kPacked) unpack_op(ds);
+  DistributedDataset out;
+  out.schema = std::move(ds.schema);
+  out.num_partitions = 1;
+  const char key[sizeof(std::uint32_t) + sizeof(std::uint64_t)] = {};
+  ds.page.for_each([&](std::string_view, std::string_view value) {
+    out.page.add(std::string_view(key, sizeof(key)), value);
+  });
+  return out;
 }
 
 }  // namespace
@@ -316,7 +332,13 @@ PartitionResult WorkflowEngine::run(
         step.dist.policy = parse_distr_policy(resolve(policy->value));
         step.dist.num_partitions = parse_number<std::size_t>(
             required_param(decl, "numPartitions"), "distribute numPartitions");
-        PAPAR_CHECK_MSG(step.dist.num_partitions >= 1, "numPartitions must be >= 1");
+        // Partition ids travel as u32 (distribute's keys, the output gather).
+        if (step.dist.num_partitions < 1 ||
+            step.dist.num_partitions > std::numeric_limits<std::uint32_t>::max()) {
+          throw ConfigError("distribute `" + decl.id + "`: numPartitions must be in [1, " +
+                            std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+                            "], got " + std::to_string(step.dist.num_partitions));
+        }
         // Output schema: the format declared on the workflow argument the
         // outputPath came from ("the output has the same format of input").
         if (!out->value.empty() && out->value[0] == '$' &&
@@ -352,6 +374,12 @@ PartitionResult WorkflowEngine::run(
     if (steps[s].kind == StepKind::kDistribute) {
       throw ConfigError("distribute must be the final operator of a workflow");
     }
+  }
+  // Without a distribute, the last operator's output is the one partition.
+  if (const PlannedStep& last = steps.back(); last.output_paths.size() > 1) {
+    throw ConfigError("workflow ends in `" + last.decl->id + "`, which has " +
+                      std::to_string(last.output_paths.size()) +
+                      " outputs; only a distribute can combine them into the result");
   }
 
   // ---- Bind file inputs -----------------------------------------------------
@@ -395,7 +423,10 @@ PartitionResult WorkflowEngine::run(
 
   // ---- Execute ---------------------------------------------------------------
   PartitionResult result;
-  bool have_result_schema = false;
+  // Rank 0's gathered output bytes, one buffer per source rank, decoded into
+  // result.partitions after the run. A replayed rank 0 overwrites them.
+  std::vector<std::vector<unsigned char>> gathered;
+  std::size_t num_partitions = 0;
   // Partitioning time/traffic are snapshotted at the end of the job
   // sequence, before the output write (the paper's measurements exclude
   // I/O time).
@@ -580,7 +611,6 @@ PartitionResult WorkflowEngine::run(
     };
 
     std::optional<DistributedDataset> final_dist;
-    std::string final_path;
 
     // On a recovery attempt, resume from the newest stage every rank
     // checkpointed. The store is quiescent here: this attempt's saves all
@@ -679,7 +709,6 @@ PartitionResult WorkflowEngine::run(
           }
           final_dist = distribute_op(comm, inputs, step.dist);
           out_count = final_dist->page.count();
-          final_path = step.output_paths[0];
           break;
         }
         case StepKind::kCustom: {
@@ -705,33 +734,14 @@ PartitionResult WorkflowEngine::run(
     job_boundary(nsteps);
     enter_stage("output");
 
-    std::vector<std::vector<std::string>> partitions;
-    schema::Schema out_schema;
-    if (final_dist) {
-      partitions = materialize_partitions(comm, *final_dist);
-      out_schema = final_dist->schema;
-    } else {
-      // No distribute: the last operator's output becomes one partition,
-      // records in rank order, gathered at rank 0 (the only rank that keeps
-      // the result).
-      const auto& last = steps.back();
-      Dataset ds = take_dataset(last.output_paths[0]);
-      if (ds.format == DataFormat::kPacked) unpack_op(ds);
-      ByteWriter w;
-      ds.page.for_each([&w](std::string_view, std::string_view value) { w.put_string(value); });
-      const auto all = comm.gather(0, w.take());
-      partitions.resize(1);
-      for (const auto& part : all) {
-        ByteReader r(part);
-        while (!r.done()) partitions[0].push_back(r.get_string());
-      }
-      out_schema = ds.schema;
-    }
-
+    // No distribute: the last operator's output is partition 0, records in
+    // rank order.
+    if (!final_dist) final_dist = as_one_partition(take_dataset(steps.back().output_paths[0]));
+    auto buffers = gather_partitions(comm, *final_dist);
     if (comm.rank() == 0) {
-      result.partitions = std::move(partitions);
-      result.schema = std::move(out_schema);
-      have_result_schema = true;
+      gathered = std::move(buffers);
+      num_partitions = final_dist->num_partitions;
+      result.schema = std::move(final_dist->schema);
     }
   };
 
@@ -770,12 +780,18 @@ PartitionResult WorkflowEngine::run(
   // Clean exit: checkpoint files have served their purpose. (A thrown run
   // never reaches this, leaving them on disk for post-mortem inspection.)
   if (ckpt) ckpt->remove_spill_files();
+  PAPAR_CHECK_MSG(num_partitions > 0, "workflow produced no result");
+  {
+    // Rank 0 only gathered bytes; the host builds the partitions on as many
+    // threads as the run had workers, outside every simulated clock.
+    ThreadPool pool(static_cast<std::size_t>(runtime.workers()));
+    result.partitions = decode_partitions(std::move(gathered), num_partitions, &pool);
+  }
   // Replace the run totals with the pre-output-write snapshot.
   result.stats.rank_time = job_times;
   result.stats.makespan = *std::max_element(job_times.begin(), job_times.end());
   result.stats.remote_bytes = boundary_bytes[nsteps];
   result.stats.remote_messages = boundary_messages[nsteps];
-  PAPAR_CHECK_MSG(have_result_schema, "workflow produced no result");
 
   result.report.makespan = result.stats.makespan;
   result.report.remote_bytes = result.stats.remote_bytes;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
+#include "util/thread_pool.hpp"
 
 namespace papar::core {
 
@@ -552,11 +554,8 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
   return out;
 }
 
-std::vector<std::vector<std::string>> materialize_partitions(
-    mp::Comm& comm, const DistributedDataset& dist) {
-  // Serialize this rank's partition contents and gather at rank 0 — the
-  // equivalent of the reducers writing their partitions out. Ranks other
-  // than 0 return an empty vector.
+std::vector<std::vector<unsigned char>> gather_partitions(mp::Comm& comm,
+                                                          const DistributedDataset& dist) {
   ByteWriter w(dist.page.byte_size());
   dist.page.for_each([&](std::string_view key, std::string_view value) {
     std::uint32_t partition;
@@ -564,19 +563,111 @@ std::vector<std::vector<std::string>> materialize_partitions(
     w.put(partition);
     w.put_string(value);
   });
-  auto all = comm.gather(0, w.take());
-  if (comm.rank() != 0) return {};
+  return comm.gather(0, w.take());
+}
 
-  std::vector<std::vector<std::string>> partitions(dist.num_partitions);
-  for (const auto& part : all) {
-    ByteReader r(part);
-    while (!r.done()) {
-      const auto partition = r.get<std::uint32_t>();
-      PAPAR_CHECK_MSG(partition < dist.num_partitions, "partition id out of range");
-      partitions[partition].push_back(r.get_string());
+namespace {
+
+/// A maximal stretch of one source buffer's records that share a partition.
+struct PartitionRun {
+  std::uint32_t partition = 0;
+  std::size_t count = 0;  // records in the run
+  std::size_t dest = 0;   // index of the run's first record in its partition
+};
+
+/// Bounds of `parts` contiguous source ranges holding about equal bytes
+/// (parts + 1 entries), so sources that sent nothing cost no range its
+/// share of the work.
+std::vector<std::size_t> byte_balanced_cuts(
+    const std::vector<std::vector<unsigned char>>& buffers, std::size_t parts) {
+  std::size_t total = 0;
+  for (const auto& b : buffers) total += b.size();
+  std::vector<std::size_t> cuts{0};
+  std::size_t bytes = 0;
+  for (std::size_t s = 0; s < buffers.size(); ++s) {
+    bytes += buffers[s].size();
+    while (cuts.size() < parts && bytes * parts >= total * cuts.size()) {
+      cuts.push_back(s + 1);
     }
   }
+  cuts.resize(parts + 1, buffers.size());
+  return cuts;
+}
+
+/// Runs body(begin, end, chunk) over [0, n): on the pool, or in one call.
+void for_chunks(ThreadPool* pool, std::size_t n,
+                const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+  } else {
+    body(0, n, 0);
+  }
+}
+
+}  // namespace
+
+std::vector<std::vector<std::string>> decode_partitions(
+    std::vector<std::vector<unsigned char>> buffers, std::size_t num_partitions,
+    ThreadPool* pool) {
+  const std::vector<std::size_t> cuts =
+      byte_balanced_cuts(buffers, pool != nullptr ? pool->size() : 1);
+  const auto for_each_source = [&](const std::function<void(std::size_t)>& fn) {
+    for_chunks(pool, cuts.size() - 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+      for (std::size_t c = begin; c < end; ++c) {
+        for (std::size_t s = cuts[c]; s < cuts[c + 1]; ++s) fn(s);
+      }
+    });
+  };
+
+  // Pass 1: validate every record and split each source into runs.
+  std::vector<std::vector<PartitionRun>> runs(buffers.size());
+  for_each_source([&](std::size_t s) {
+    ByteReader r(buffers[s]);
+    while (!r.done()) {
+      const auto partition = r.get<std::uint32_t>();
+      PAPAR_CHECK_MSG(partition < num_partitions, "partition id out of range");
+      r.get_bytes(r.get<std::uint32_t>());
+      if (runs[s].empty() || runs[s].back().partition != partition) {
+        runs[s].push_back({partition, 0, 0});
+      }
+      ++runs[s].back().count;
+    }
+  });
+
+  // Place each run in its partition (source order, then buffer order) and
+  // size every partition before any record is built.
+  std::vector<std::size_t> sizes(num_partitions, 0);
+  for (auto& source_runs : runs) {
+    for (PartitionRun& run : source_runs) {
+      run.dest = sizes[run.partition];
+      sizes[run.partition] += run.count;
+    }
+  }
+  std::vector<std::vector<std::string>> partitions(num_partitions);
+  for_chunks(pool, num_partitions, [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t p = begin; p < end; ++p) partitions[p].resize(sizes[p]);
+  });
+
+  // Pass 2: build the records, then free the source's bytes.
+  for_each_source([&](std::size_t s) {
+    ByteReader r(buffers[s]);
+    for (const PartitionRun& run : runs[s]) {
+      std::string* out = partitions[run.partition].data() + run.dest;
+      for (std::size_t i = 0; i < run.count; ++i) {
+        r.get<std::uint32_t>();
+        out[i] = r.get_string();
+      }
+    }
+    std::vector<unsigned char>().swap(buffers[s]);
+  });
   return partitions;
+}
+
+std::vector<std::vector<std::string>> materialize_partitions(
+    mp::Comm& comm, const DistributedDataset& dist) {
+  auto buffers = gather_partitions(comm, dist);
+  if (comm.rank() != 0) return {};
+  return decode_partitions(std::move(buffers), dist.num_partitions);
 }
 
 // -- Format operators --------------------------------------------------------------

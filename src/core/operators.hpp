@@ -21,6 +21,10 @@
 #include "mapreduce/mapreduce.hpp"
 #include "mpsim/comm.hpp"
 
+namespace papar {
+class ThreadPool;
+}
+
 namespace papar::core {
 
 // -- Add-on operators ---------------------------------------------------------
@@ -107,7 +111,7 @@ struct DistributeArgs {
 
 /// A distributed dataset: entry keys are [u32 partition][u64 order-stamp]
 /// and entries live on rank (partition % ranks), sorted by (partition,
-/// stamp). Produced by distribute_op; consumed by materialize_partitions.
+/// stamp). Produced by distribute_op; consumed by gather_partitions.
 struct DistributedDataset {
   schema::Schema schema;
   std::size_t num_partitions = 0;
@@ -121,8 +125,27 @@ struct DistributedDataset {
 DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
                                  const DistributeArgs& args);
 
-/// Collects every partition's records (wire-encoded, in stamp order) on
-/// every rank. Partition `p` is identical across ranks and backends.
+/// Serializes this rank's records as [u32 partition][u32 length][record],
+/// in page order, and gathers them at rank 0 (the reducers writing their
+/// partitions out). Rank 0 returns one buffer per source rank; the other
+/// ranks return an empty vector.
+std::vector<std::vector<unsigned char>> gather_partitions(mp::Comm& comm,
+                                                          const DistributedDataset& dist);
+
+/// Rebuilds partitions from gather_partitions' buffers, one per source
+/// rank: partition `p` holds its records in source order, then buffer
+/// order. With a pool, the sources are decoded concurrently in contiguous
+/// ranges of about equal bytes; each buffer is freed once decoded.
+/// Truncated bytes throw DataError and a partition id >= `num_partitions`
+/// throws InternalError, on the calling thread.
+std::vector<std::vector<std::string>> decode_partitions(
+    std::vector<std::vector<unsigned char>> buffers, std::size_t num_partitions,
+    ThreadPool* pool = nullptr);
+
+/// gather_partitions, then decode_partitions on rank 0's thread: rank 0
+/// returns every partition's records (wire-encoded, in stamp order), the
+/// other ranks an empty vector. Partition `p` is identical across rank
+/// counts.
 std::vector<std::vector<std::string>> materialize_partitions(
     mp::Comm& comm, const DistributedDataset& dist);
 

@@ -64,6 +64,8 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   int size() const { return nranks_; }
+  /// Worker threads each run() multiplexes the rank fibers over.
+  int workers() const { return resolve_workers(sched_.workers, nranks_); }
   const NetworkModel& network() const;
 
   /// Attaches an observability recorder: collectives bump per-kind traffic

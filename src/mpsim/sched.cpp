@@ -44,6 +44,15 @@
 
 namespace papar::mp {
 
+int resolve_workers(int requested, int nranks) {
+  int workers = requested;
+  if (workers <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    workers = static_cast<int>(hw > 0 ? hw : 1);
+  }
+  return std::min(workers, nranks);
+}
+
 namespace detail {
 
 namespace {
@@ -206,12 +215,7 @@ void FiberScheduler::Impl::trampoline(unsigned int hi, unsigned int lo) {
 FiberScheduler::FiberScheduler(int nranks, const SchedulerOptions& options)
     : nranks_(nranks), impl_(std::make_unique<Impl>()) {
   PAPAR_CHECK_MSG(nranks >= 1, "fiber scheduler needs at least one rank");
-  int workers = options.workers;
-  if (workers <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    workers = static_cast<int>(hw > 0 ? hw : 1);
-  }
-  workers_ = std::min(workers, nranks);
+  workers_ = resolve_workers(options.workers, nranks);
   impl_->fibers.resize(static_cast<std::size_t>(nranks));
   if (options.seed != 0) {
     impl_->randomized = true;

@@ -43,6 +43,11 @@ struct SchedulerOptions {
   std::uint64_t seed = 0;
 };
 
+/// The worker threads a run of `nranks` ranks uses for a requested count:
+/// 0 picks the hardware concurrency, and the result is clamped to
+/// [1, nranks]. FiberScheduler and Runtime::workers() both resolve here.
+int resolve_workers(int requested, int nranks);
+
 namespace detail {
 
 /// Multiplexes rank fibers over a worker pool. One-shot: construct, run(),

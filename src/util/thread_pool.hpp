@@ -1,9 +1,11 @@
 // Fixed-size thread pool with a parallel_for convenience.
 //
 // Used by the single-node baselines (the multithreaded muBLASTP partitioner,
-// the PowerLyra partitioner) and by sortlib's parallel phases. The simulated
-// message-passing ranks do NOT run on this pool — they own dedicated threads
-// so their CPU-time clocks stay per-rank.
+// the PowerLyra partitioner), by sortlib's parallel phases, and by the
+// workflow engine to build a run's partitions from rank 0's gathered bytes
+// once the run is over. The simulated message-passing ranks do NOT run on
+// this pool: they are fibers over the mpsim scheduler's own workers, which
+// keep each rank's CPU-time clock per rank (mpsim/sched.hpp).
 #pragma once
 
 #include <condition_variable>

@@ -15,6 +15,7 @@
 #include "core/workflow.hpp"
 #include "mpsim/fault.hpp"
 #include "schema/input_config.hpp"
+#include "util/bytes.hpp"
 #include "util/parse.hpp"
 #include "xml/xml.hpp"
 
@@ -198,6 +199,56 @@ TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("numPartitions"), std::string::npos);
+  }
+}
+
+TEST(EngineNegative, NumPartitionsOutsideTheU32RangeIsAConfigError) {
+  // Zero used to fail an internal check, and past 2^32 - 1 (partition ids
+  // travel as u32) the result's partition vector threw std::bad_alloc.
+  for (const std::string parts : {"0", "4294967296", "5000000000"}) {
+    auto engine = distribute_engine(parts);
+    mp::Runtime rt(2, mp::NetworkModel::zero());
+    try {
+      engine.run(rt, {{"in.txt", "x\ny\n"}});
+      ADD_FAILURE() << "expected ConfigError for numPartitions=" << parts;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("numPartitions"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(EngineNegative, WorkflowEndingInASplitIsAConfigError) {
+  // Without a distribute only one output can become the result; every
+  // split output but the first used to be dropped silently.
+  auto wf = core::parse_workflow(xml::parse(R"(
+      <workflow id="w">
+        <arguments><param name="input_path" type="hdfs" format="pairs"/></arguments>
+        <operators>
+          <operator id="cut" operator="Split">
+            <param name="inputPath" value="$input_path"/>
+            <param name="outputPathList" value="/t/high, /t/low"/>
+            <param name="key" value="x"/>
+            <param name="policy" value="{&gt;=, 10},{&lt;, 10}"/>
+          </operator>
+        </operators>
+      </workflow>)"));
+  const auto pairs = schema::parse_input_spec(xml::parse(R"(
+      <input id="pairs"><input_format>binary</input_format><element>
+        <value name="k" type="integer"/><value name="x" type="integer"/>
+      </element></input>)"));
+  core::WorkflowEngine engine(std::move(wf), {{"pairs", pairs}},
+                              {{"input_path", "in.bin"}});
+  ByteWriter w;
+  for (std::int32_t i = 0; i < 6; ++i) {
+    w.put<std::int32_t>(i);
+    w.put<std::int32_t>(i * 4);
+  }
+  mp::Runtime rt(2, mp::NetworkModel::zero());
+  try {
+    engine.run(rt, {{"in.bin", std::string(reinterpret_cast<const char*>(w.data()), w.size())}});
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("`cut`"), std::string::npos) << e.what();
   }
 }
 

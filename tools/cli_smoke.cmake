@@ -147,6 +147,26 @@ if(NOT rc EQUAL 1 OR NOT err MATCHES "config error.*split threshold")
   message(FATAL_ERROR "papar --arg threshold=22.9 was not rejected (${rc}): ${err}")
 endif()
 
+# A partition count outside [1, 2^32 - 1] is a configuration error: zero
+# used to report an internal error, and 2^32 aborted on std::bad_alloc.
+foreach(parts 0 4294967296)
+  execute_process(
+    COMMAND "${PAPAR_CLI}"
+            --input-config "${CONFIG_DIR}/graph_edge.xml"
+            --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+            --arg input_file=edges.txt
+            --arg output_path=${WORK_DIR}/parts-bad-partitions/graph
+            --arg num_partitions=${parts}
+            --arg threshold=15
+            --file edges.txt=${WORK_DIR}/edges.txt
+            --nodes 4
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "config error.*numPartitions")
+    message(FATAL_ERROR "papar --arg num_partitions=${parts} was not rejected (${rc}): ${err}")
+  endif()
+endforeach()
+
 # Numeric misconfiguration fails the run instead of being ignored or
 # poisoning the clocks (a negative retry-max or backoff reaches
 # Runtime::set_recovery; nan and inf never parse).

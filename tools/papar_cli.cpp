@@ -396,7 +396,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
-  } catch (const papar::Error& e) {
+  } catch (const std::exception& e) {
+    // papar::Error, and anything else the run throws (std::bad_alloc):
+    // reported and exit 1, never an abort.
     std::fprintf(stderr, "papar: %s\n", e.what());
     return 1;
   }
