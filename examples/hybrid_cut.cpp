@@ -114,8 +114,7 @@ int run_example(int argc, char** argv) {
   }
 
   if (trace_path != nullptr && *trace_path != '\0') {
-    obs::write_chrome_trace(trace_path, tracer.snapshot(), nullptr,
-                            &papar.report, nullptr);
+    obs::write_chrome_trace(trace_path, tracer.snapshot(), nullptr, &papar.report);
     std::printf("wrote causal trace to %s (Perfetto-loadable; see papar_trace)\n",
                 trace_path);
   }

@@ -8,9 +8,7 @@
 #include <limits>
 
 #include "mapreduce/checkpoint.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "sortlib/simd.hpp"
 #include "util/log.hpp"
 #include "util/membudget.hpp"
 #include "util/parse.hpp"
@@ -473,11 +471,6 @@ PartitionResult WorkflowEngine::run(
                ("papar-spill-" + std::to_string(::getpid())))
                   .string();
     budget = std::make_unique<MemoryBudget>(std::move(bcfg));
-    if (obs::MetricsRegistry* metrics = runtime.metrics()) {
-      budget->set_counter_hook([metrics](const char* name, std::uint64_t delta) {
-        metrics->inc(name, delta);
-      });
-    }
   }
   struct BudgetGuard {
     mp::Runtime* rt = nullptr;
@@ -630,7 +623,6 @@ PartitionResult WorkflowEngine::run(
         PAPAR_CHECK_MSG(blob.has_value(), "rank checkpoint slice lost its blob");
         datasets = decode_datasets(*blob);
         start_step = static_cast<std::size_t>(*stage);
-        if (auto* rec = comm.recorder()) rec->add_counter("ckpt.restores");
       }
     } else if (ckpt && comm.attempt() > 0 && nsteps > 0) {
       if (auto stage = ckpt->latest_complete(nsteps - 1)) {
@@ -638,7 +630,6 @@ PartitionResult WorkflowEngine::run(
         PAPAR_CHECK_MSG(blob.has_value(), "complete checkpoint stage lost a rank blob");
         datasets = decode_datasets(*blob);
         start_step = static_cast<std::size_t>(*stage);
-        if (auto* rec = comm.recorder()) rec->add_counter("ckpt.restores");
       }
     }
 
@@ -656,7 +647,6 @@ PartitionResult WorkflowEngine::run(
         // it past boundary s, which means every rank saved stage s first.
         // (A deterministic replay rewrites identical bytes.)
         ckpt->save(s, comm.rank(), encode_datasets(datasets));
-        if (auto* rec = comm.recorder()) rec->add_counter("ckpt.saves");
       }
       job_boundary(s);
       enter_stage("job:" + step.decl->id);
@@ -814,15 +804,6 @@ PartitionResult WorkflowEngine::run(
       result.report.faults.checkpoint_saves = ckpt->saves();
       result.report.faults.checkpoint_restores = ckpt->restores();
     }
-    if (obs::MetricsRegistry* metrics = runtime.metrics()) {
-      // papar_recovery_* counters: the localized-recovery ladder's work,
-      // alongside the fault counters the injector already exports.
-      metrics->inc("recovery.rank_replays", fc.rank_replays);
-      metrics->inc("recovery.segments_refetched", fc.refetches);
-      metrics->inc("recovery.bytes_refetched", fc.refetch_bytes);
-      metrics->inc("recovery.retention_evictions", fc.retention_evictions);
-      metrics->inc("recovery.corruptions", fc.corruptions);
-    }
   }
   if (budget) {
     result.report.memory.budget_bytes = budget->config().hard_limit;
@@ -832,31 +813,6 @@ PartitionResult WorkflowEngine::run(
     result.report.memory.soft_crossings = budget->soft_crossings();
     result.report.memory.backpressure_stalls = budget->backpressure_stalls();
     result.report.memory.emergency_credits = budget->emergency_credits();
-    if (obs::MetricsRegistry* metrics = runtime.metrics()) {
-      // Event counters streamed in live through the budget hook; the peak
-      // is only known now.
-      metrics->inc("mem.high_water_bytes", budget->high_water());
-    }
-  }
-  if (const obs::Recorder* rec = runtime.recorder()) {
-    // Sort-engine breakdown (satellite of the sort-engine work): which
-    // engine ran, how many radix passes executed vs. were skipped by the
-    // all-equal-byte shortcut, and the SIMD level the run dispatched to.
-    result.report.sort.records = rec->counter("sort.records");
-    result.report.sort.merge_sorts = rec->counter("sort.engine_merge");
-    result.report.sort.radix_sorts = rec->counter("sort.engine_radix");
-    result.report.sort.radix_passes = rec->counter("sort.radix_passes");
-    result.report.sort.radix_passes_skipped =
-        rec->counter("sort.radix_passes_skipped");
-    if (result.report.sort.any()) {
-      result.report.sort.simd_level =
-          sortlib::simd::level_name(sortlib::simd::active_level());
-    }
-  }
-  if (sampler) {
-    if (obs::MetricsRegistry* metrics = runtime.metrics()) {
-      sampler->export_gauges(*metrics);
-    }
   }
   result.report.stages.reserve(nsteps);
   for (std::size_t s = 0; s < nsteps; ++s) {
@@ -870,6 +826,16 @@ PartitionResult WorkflowEngine::run(
     rec.records_out = stage_out[s];
     rec.reducer_skew = stage_skew[s];
     result.report.stages.push_back(std::move(rec));
+  }
+  if (obs::Recorder* rec = runtime.recorder()) {
+    // The sort section is a view of the recorder's own sort.* counters; the
+    // rest of the report is exported once, under its JSON key paths.
+    for (const auto& f : obs::kSortFields) {
+      result.report.sort.*f.member = rec->counter(std::string("sort.") + f.key);
+    }
+    result.report.export_metrics(rec->metrics(), runtime.fault_injector() != nullptr,
+                                 budget != nullptr);
+    if (sampler) sampler->export_gauges(rec->metrics());
   }
   return result;
 }

@@ -59,8 +59,8 @@ struct EngineOptions {
   /// Continuous telemetry (DESIGN.md §15). Any of the three knobs below
   /// being set attaches a TelemetrySampler for the run: per-rank time-series
   /// rings of stage / blocked state / mailbox / budget / sort progress.
-  /// `telemetry` alone keeps the rings in memory (exported as metrics
-  /// gauge timelines when a registry is attached).
+  /// `telemetry` alone keeps the rings in memory (exported as gauge
+  /// timelines into the attached Recorder's registry).
   bool telemetry = false;
   /// JSONL live-stream file a concurrent `papar_top <file>` tails
   /// (--telemetry <file>); empty = no stream.

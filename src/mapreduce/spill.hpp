@@ -42,8 +42,8 @@ struct SpillConfig {
   int rank = 0;
   /// Target bytes per sorted run / spool flush.
   std::size_t run_bytes = 1u << 20;
-  /// Optional budget: spilled bytes are counted (papar_mem_spill_* metrics)
-  /// and working buffers are acquired against the watermarks.
+  /// Optional budget: spilled bytes are counted (papar_memory_spill_*
+  /// metrics) and working buffers are acquired against the watermarks.
   MemoryBudget* budget = nullptr;
 };
 

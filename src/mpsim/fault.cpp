@@ -253,7 +253,8 @@ void FaultInjector::bind(int nranks) {
   }
 }
 
-FaultInjector::Decision FaultInjector::next_decision(int src, int dst) {
+FaultInjector::Decision FaultInjector::next_decision(int src, int dst,
+                                                     std::size_t payload_bytes) {
   Decision d;
   PAPAR_CHECK_MSG(nranks_ > 0, "fault injector used before bind()");
   auto& link = links_[static_cast<std::size_t>(src) * static_cast<std::size_t>(nranks_) +
@@ -271,8 +272,9 @@ FaultInjector::Decision FaultInjector::next_decision(int src, int dst) {
     d.extra_delay = plan_.delay_seconds;
   }
   if (plan_.corrupt > 0.0 && link.rng.next_double() < plan_.corrupt) {
-    d.corrupt = true;
+    // Drawn whatever the size, so the link's stream stays aligned.
     d.corrupt_bit = link.rng.next_u64();
+    d.corrupt = payload_bytes > 0;
   }
   if (d.drops > 0) {
     drops_.fetch_add(static_cast<std::uint64_t>(d.drops),

@@ -259,10 +259,13 @@ class FaultInjector {
   /// fired-flags, counters, and the trace.
   void bind(int nranks);
 
-  /// The injector's verdict for one remote message on link (src, dst):
-  /// how many transmissions were lost before one got through, whether the
-  /// wire duplicated it, and any extra arrival delay. Consumes the link's
-  /// RNG stream; must be called from the sending rank's thread.
+  /// The injector's verdict for one remote message of `payload_bytes` on
+  /// link (src, dst): how many transmissions were lost before one got
+  /// through, whether the wire duplicated it, any extra arrival delay, and
+  /// which bit to flip. Consumes the link's RNG stream the same way for
+  /// every payload size; a corruption drawn for an empty payload has no bit
+  /// to flip, so it is neither counted, traced nor returned. Must be called
+  /// from the sending rank's thread.
   struct Decision {
     int drops = 0;
     bool duplicate = false;
@@ -272,7 +275,7 @@ class FaultInjector {
     bool corrupt = false;
     std::uint64_t corrupt_bit = 0;
   };
-  Decision next_decision(int src, int dst);
+  Decision next_decision(int src, int dst, std::size_t payload_bytes);
 
   /// Counts one communication event on `rank` (own thread only). Returns
   /// true when a scheduled crash fires at this event; each CrashSpec fires

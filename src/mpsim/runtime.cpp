@@ -254,13 +254,11 @@ struct Shared {
   /// the watchdog/idle sweep (`telemetry_scan`) covers parked ranks.
   obs::TelemetrySampler* sampler = nullptr;
 
-  /// Attached metrics registry plus handles resolved at attach time so the
-  /// per-message path is a pointer check and an atomic update.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Histograms of the attached recorder's registry, resolved at attach
+  /// time so the per-message path is a pointer check and an atomic update.
   obs::Histogram* m_latency = nullptr;      // virtual message latency (s)
   obs::Histogram* m_payload = nullptr;      // payload size (bytes)
   obs::Histogram* m_queue = nullptr;        // mailbox depth after enqueue
-  obs::Counter* m_retransmits = nullptr;    // fault-layer resends
 
   // -- Failure-detector / deadlock-watchdog state ---------------------------
   std::unique_ptr<RankStatus[]> status;
@@ -476,7 +474,6 @@ struct Shared {
     mb.retention_evicted = true;
     if (mb.spool) mb.spool->reset();
     if (faults != nullptr) faults->note_retention_eviction(owner);
-    if (recorder != nullptr) recorder->add_counter("recovery.retention_evictions", 1);
   }
 
   /// Clears one mailbox's retention state (caller holds mb.mutex).
@@ -843,7 +840,6 @@ void Comm::fault_comm_event() {
     if (!shared_->local_revivable(rank_, replays_done_)) {
       shared_->declare_terminated(rank_, detail::kFailed, vtime_);
     }
-    if (obs::Recorder* rec = shared_->recorder) rec->add_counter("fault.crashes", 1);
     throw RankCrashedError(rank_, inj->event_count(rank_));
   }
 }
@@ -861,7 +857,6 @@ void Comm::on_peer_failure(int dead, const char* what) {
     vtime_ = std::max(vtime_, detect_at);
     inj->note_detection(dead, rank_, s->attempt);
   }
-  if (obs::Recorder* rec = s->recorder) rec->add_counter("fault.detections", 1);
   throw PeerFailureError(
       "rank " + std::to_string(rank_) + " " + what + " rank " + std::to_string(dead) +
       ", which " +
@@ -921,7 +916,6 @@ void Comm::arm_replay() {
   }
   vtime_ += std::min(backoff, rp.backoff_max);
   if (FaultInjector* inj = s->faults) inj->note_rank_replay(rank_, replays_done_);
-  if (obs::Recorder* rec = s->recorder) rec->add_counter("fault.rank_replays", 1);
   if (obs::TelemetrySampler* smp = s->sampler) {
     smp->note_replay(rank_);
     s->telemetry_sample_self(rank_, vtime_, detail::kRunning);
@@ -984,10 +978,6 @@ bool Comm::replay_serve(int source, int tag, const std::vector<char>* skip_sourc
       if (FaultInjector* inj = s->faults) {
         inj->note_refetch(src, rank_, cur - 1, n);
       }
-      if (obs::Recorder* rec = s->recorder) {
-        rec->add_counter("recovery.refetches", 1);
-        rec->add_counter("recovery.refetch_bytes", n);
-      }
     } else {
       vtime_ += s->network.local_cost(n);
     }
@@ -1034,10 +1024,6 @@ void Comm::check_integrity(Envelope& env, std::uint32_t crc, bool corrupted,
   PAPAR_CHECK_MSG(crc32c(env.payload.data(), env.payload.size()) == crc,
                   "retransmitted payload still fails its CRC32C check");
   inj->note_corruption_repair(env.source, rank_, stage_retries_used_);
-  if (shared_->m_retransmits != nullptr) shared_->m_retransmits->add(1);
-  if (obs::Recorder* rec = shared_->recorder) {
-    rec->add_counter("fault.corruption_repairs", 1);
-  }
 }
 
 void Comm::deliver(int dest, int tag, const void* data, std::size_t n) {
@@ -1075,15 +1061,11 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
   if (remote) {
     double extra_delay = 0.0;
     if (FaultInjector* inj = shared_->faults) {
-      const FaultInjector::Decision d = inj->next_decision(rank_, dest);
+      const FaultInjector::Decision d = inj->next_decision(rank_, dest, n);
       trace_retransmits = static_cast<std::uint16_t>(d.drops);
       trace_duplicated = d.duplicate;
       fault_corrupt = d.corrupt;
       fault_corrupt_bit = d.corrupt_bit;
-      if (d.drops > 0 && shared_->m_retransmits != nullptr) {
-        shared_->m_retransmits->add(static_cast<std::uint64_t>(d.drops));
-      }
-      obs::Recorder* rec = shared_->recorder;
       if (d.drops > 0) {
         // Every lost transmission costs the sender a full serialization,
         // the retry timeout, and an exponentially growing backoff before
@@ -1096,9 +1078,7 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
                     plan.retry_timeout + backoff;
           backoff = std::min(backoff * 2.0, plan.backoff_max);
         }
-        if (rec != nullptr) {
-          rec->add_counter("fault.drops", static_cast<std::uint64_t>(d.drops));
-          rec->add_counter("fault.retries", static_cast<std::uint64_t>(d.drops));
+        if (obs::Recorder* rec = shared_->recorder) {
           obs::SpanEvent ev;
           ev.name = "net.retry";
           ev.category = "fault";
@@ -1112,12 +1092,8 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
         // The wire carried the payload twice; the receiving NIC drops the
         // spare by sequence number, so only the sender pays.
         vtime_ += static_cast<double>(n) / shared_->network.bandwidth;
-        if (rec != nullptr) rec->add_counter("fault.duplicates", 1);
       }
-      if (d.extra_delay > 0.0) {
-        extra_delay = d.extra_delay;
-        if (rec != nullptr) rec->add_counter("fault.delays", 1);
-      }
+      if (d.extra_delay > 0.0) extra_delay = d.extra_delay;
     }
     // LogGP-style: the sender's NIC serializes the payload (occupying the
     // sender for bytes/bandwidth), then the wire adds its latency. The
@@ -1136,14 +1112,13 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     // verifies and repairs (modeled retransmission) or throws DataError —
     // a flipped bit can never be consumed silently.
     msg.crc = crc32c(msg.payload.data(), msg.payload.size());
-    if (fault_corrupt && !msg.payload.empty()) {
+    if (fault_corrupt) {
       const std::uint64_t bit = fault_corrupt_bit %
                                 (static_cast<std::uint64_t>(msg.payload.size()) * 8u);
       msg.payload[static_cast<std::size_t>(bit / 8)] ^=
           static_cast<unsigned char>(1u << (bit % 8));
       msg.corrupted = true;
       msg.corrupt_bit = bit;
-      if (obs::Recorder* rec = shared_->recorder) rec->add_counter("fault.corruptions", 1);
     }
   }
   if (remote) {
@@ -1151,8 +1126,6 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     shared_->remote_bytes.fetch_add(n, std::memory_order_relaxed);
     if (obs::Recorder* rec = shared_->recorder) {
       rec->add_counter(detail::Shared::traffic_counter(tag), n);
-      rec->add_counter("mpsim.remote_messages", 1);
-      rec->add_counter("mpsim.remote_bytes", n);
     }
   }
   obs::TraceRecorder* tracer = shared_->tracer;
@@ -1221,7 +1194,7 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     // the unlock, a receiver draining the message first would subtract
     // from a counter that saturates at zero and leak this add.
     if (shared_->budget != nullptr) shared_->budget->add_mailbox(dest, n);
-    if (shared_->metrics != nullptr) queue_depth = mb.queue.size();
+    if (shared_->m_queue != nullptr) queue_depth = mb.queue.size();
     if (mb.recv_waiting) {
       mb.recv_waiting = false;
       wake_receiver = true;
@@ -1229,7 +1202,7 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
   }
   shared_->progress.fetch_add(1, std::memory_order_release);
   if (wake_receiver) shared_->fibers->wake(dest);
-  if (shared_->metrics != nullptr) {
+  if (shared_->m_queue != nullptr) {
     shared_->m_payload->observe(static_cast<double>(n));
     shared_->m_queue->observe(static_cast<double>(queue_depth));
   }
@@ -1735,7 +1708,13 @@ Runtime::~Runtime() = default;
 
 const NetworkModel& Runtime::network() const { return shared_->network; }
 
-void Runtime::set_recorder(obs::Recorder* recorder) { shared_->recorder = recorder; }
+void Runtime::set_recorder(obs::Recorder* recorder) {
+  shared_->recorder = recorder;
+  obs::MetricsRegistry* m = recorder != nullptr ? &recorder->metrics() : nullptr;
+  shared_->m_latency = m != nullptr ? m->histogram("mpsim_message_latency_seconds") : nullptr;
+  shared_->m_payload = m != nullptr ? m->histogram("mpsim_payload_bytes") : nullptr;
+  shared_->m_queue = m != nullptr ? m->histogram("mpsim_mailbox_depth") : nullptr;
+}
 
 obs::Recorder* Runtime::recorder() const { return shared_->recorder; }
 
@@ -1785,23 +1764,6 @@ void Runtime::set_memory_budget(MemoryBudget* budget) {
 
 MemoryBudget* Runtime::memory_budget() const { return shared_->budget; }
 
-void Runtime::set_metrics(obs::MetricsRegistry* metrics) {
-  shared_->metrics = metrics;
-  if (metrics != nullptr) {
-    shared_->m_latency = metrics->histogram("mpsim_message_latency_seconds");
-    shared_->m_payload = metrics->histogram("mpsim_payload_bytes");
-    shared_->m_queue = metrics->histogram("mpsim_mailbox_depth");
-    shared_->m_retransmits = metrics->counter("mpsim_retransmits");
-  } else {
-    shared_->m_latency = nullptr;
-    shared_->m_payload = nullptr;
-    shared_->m_queue = nullptr;
-    shared_->m_retransmits = nullptr;
-  }
-}
-
-obs::MetricsRegistry* Runtime::metrics() const { return shared_->metrics; }
-
 void Runtime::set_sampler(obs::TelemetrySampler* sampler) {
   if (sampler != nullptr) sampler->bind(nranks_);
   shared_->sampler = sampler;
@@ -1814,9 +1776,6 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
   if (shared_->tracer != nullptr) shared_->tracer->begin_run();
   FaultInjector* inj = shared_->faults;
   const int max_recoveries = inj != nullptr ? inj->plan().max_recoveries : 0;
-  // Injector counters accumulate across runs; snapshot so the stats below
-  // report this run's localized-recovery work only.
-  const FaultCounts counts_base = inj != nullptr ? inj->counts() : FaultCounts{};
 
   int attempt = 0;
   double attempt_base = 0.0;  // virtual clock every rank restarts from
@@ -1931,7 +1890,6 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
     if (crashed && inj != nullptr && attempt < max_recoveries) {
       ++attempt;
       inj->note_recovery(attempt);
-      if (obs::Recorder* rec = shared_->recorder) rec->add_counter("fault.recoveries", 1);
       // Survivors restart from the point the recovery decision was made:
       // the latest clock any rank reached (detection charges included).
       for (const Comm& c : comms) attempt_base = std::max(attempt_base, c.vtime_);
@@ -1963,12 +1921,6 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
   }
   stats.remote_messages = shared_->remote_messages.load();
   stats.remote_bytes = shared_->remote_bytes.load();
-  if (inj != nullptr) {
-    const FaultCounts now = inj->counts();
-    stats.rank_replays = now.rank_replays - counts_base.rank_replays;
-    stats.refetched_segments = now.refetches - counts_base.refetches;
-    stats.refetched_bytes = now.refetch_bytes - counts_base.refetch_bytes;
-  }
   return stats;
 }
 

@@ -26,7 +26,6 @@ class MemoryBudget;
 
 namespace papar::obs {
 class TraceRecorder;
-class MetricsRegistry;
 class TelemetrySampler;
 }  // namespace papar::obs
 
@@ -42,13 +41,9 @@ struct RunStats {
   std::uint64_t remote_messages = 0;
   std::uint64_t remote_bytes = 0;
   /// Full-stage crash-recovery attempts this run needed (0 = fault-free,
-  /// no crash, or every crash repaired by localized recovery).
+  /// no crash, or every crash repaired by localized recovery). Replays,
+  /// re-fetches and the other fault tallies are FaultInjector::counts().
   int recoveries = 0;
-  /// Localized recovery (RecoveryMode::kLocal): single-rank replays taken
-  /// and retained segments / bytes re-fetched by reviving ranks.
-  std::uint64_t rank_replays = 0;
-  std::uint64_t refetched_segments = 0;
-  std::uint64_t refetched_bytes = 0;
 };
 
 class Runtime {
@@ -68,11 +63,17 @@ class Runtime {
   int workers() const { return resolve_workers(sched_.workers, nranks_); }
   const NetworkModel& network() const;
 
-  /// Attaches an observability recorder: collectives bump per-kind traffic
-  /// counters, each run() records one whole-rank span per rank, and code
-  /// running on the ranks can add its own spans via Comm::record_span.
-  /// Pass nullptr to detach. The recorder must outlive the runtime (or be
-  /// detached first).
+  /// Attaches an observability recorder (nullptr to detach): every remote
+  /// message adds its bytes to the `mpsim.bytes.<kind>` counter of its
+  /// collective kind and feeds the message latency, payload size and
+  /// mailbox depth histograms of the recorder's registry (handles resolved
+  /// here, so per-message observation is lock-free); dropped transmissions
+  /// record `net.retry` spans, each run() records one whole-rank span per
+  /// rank, and code running on the ranks can add its own spans via
+  /// Comm::record_span. Fault, replay and traffic totals are not written
+  /// here: their owners (FaultInjector, RunStats) count them, and the
+  /// engine exports its report into the recorder once per run. The
+  /// recorder must outlive the runtime (or be detached first).
   void set_recorder(obs::Recorder* recorder);
   obs::Recorder* recorder() const;
 
@@ -116,13 +117,6 @@ class Runtime {
   /// sender cycles into counted emergency credits instead of DeadlockError.
   void set_memory_budget(MemoryBudget* budget);
   MemoryBudget* memory_budget() const;
-
-  /// Attaches a metrics registry (nullptr to detach): the runtime feeds
-  /// virtual-time histograms (message latency, payload size, mailbox queue
-  /// depth) and fault counters (retransmits). Handles are resolved once
-  /// here, so per-message observation is lock-free.
-  void set_metrics(obs::MetricsRegistry* metrics);
-  obs::MetricsRegistry* metrics() const;
 
   /// Attaches a telemetry sampler (nullptr to detach): ranks snapshot
   /// their own state (stage, blocked kind, mailbox depth, budget, sort

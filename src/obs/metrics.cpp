@@ -209,6 +209,12 @@ std::vector<MetricsRegistry::GaugeSeries> MetricsRegistry::gauge_series()
   return out;
 }
 
+std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
 std::map<std::string, std::uint64_t> MetricsRegistry::counter_values() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::map<std::string, std::uint64_t> out;
@@ -324,13 +330,6 @@ std::string MetricsRegistry::to_json() const {
   }
   os << "}}";
   return os.str();
-}
-
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  histograms_.clear();
-  gauges_.clear();
 }
 
 }  // namespace papar::obs

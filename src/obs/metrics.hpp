@@ -3,7 +3,8 @@
 //
 // The tracing subsystem (trace.hpp) answers "what happened when"; this
 // registry answers "how is the distribution shaped": message latency,
-// payload size, mailbox queue depth, retransmit counts. Histograms use
+// payload size, mailbox queue depth, plus the run's counters and gauges (an
+// obs::Recorder owns one registry and keeps its counters here). Histograms use
 // fixed geometric buckets (powers of two from 2^-30 to 2^33), so a single
 // ladder covers nanosecond latencies and multi-gigabyte payloads, and
 // quantiles (p50/p95/p99) are estimated by geometric interpolation inside
@@ -138,6 +139,9 @@ class MetricsRegistry {
   void inc(std::string_view name, std::uint64_t delta = 1) { counter(name)->add(delta); }
   void observe(std::string_view name, double value) { histogram(name)->observe(value); }
 
+  /// The counter's value, or 0 when no counter has that name (the read
+  /// creates none).
+  std::uint64_t counter_value(std::string_view name) const;
   std::map<std::string, std::uint64_t> counter_values() const;
 
   /// Prometheus text exposition format, version 0.0.4: counters as
@@ -152,8 +156,6 @@ class MetricsRegistry {
   /// p50, p95, p99}}, "gauges": {series: {value, points: [[t,v],...]}}}
   /// — the summary merged into --stats / trace reports.
   std::string to_json() const;
-
-  void clear();
 
  private:
   struct GaugeEntry {

@@ -3,62 +3,35 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace papar::obs {
 
 // -- Recorder -----------------------------------------------------------------
 
 void Recorder::add_counter(std::string_view name, std::uint64_t delta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_[std::string(name)] += delta;
+  metrics_.counter(name)->add(delta);
 }
 
 std::uint64_t Recorder::counter(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = counters_.find(std::string(name));
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::map<std::string, std::uint64_t> Recorder::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
-void Recorder::set_gauge(std::string_view name, double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  gauges_[std::string(name)] = value;
-}
-
-std::map<std::string, double> Recorder::gauges() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return gauges_;
+  return metrics_.counter_value(name);
 }
 
 void Recorder::record_span(SpanEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(span_mutex_);
   spans_.push_back(std::move(event));
 }
 
 std::vector<SpanEvent> Recorder::spans() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(span_mutex_);
   return spans_;
 }
 
 std::size_t Recorder::span_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(span_mutex_);
   return spans_.size();
-}
-
-void Recorder::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  spans_.clear();
 }
 
 namespace {
@@ -70,88 +43,69 @@ std::string number_to_json(double v) {
   return buf;
 }
 
+template <typename S, std::size_t N>
+bool any_field(const S& section, const ReportField<S> (&fields)[N]) {
+  for (const auto& f : fields) {
+    if (section.*f.member != 0) return true;
+  }
+  return false;
+}
+
+/// `"key":value,...` for every field of the list.
+template <typename S, std::size_t N>
+void fields_to_json(std::ostringstream& os, const S& section,
+                    const ReportField<S> (&fields)[N]) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (i > 0) os << ",";
+    os << "\"" << fields[i].key << "\":" << section.*fields[i].member;
+  }
+}
+
+template <typename S, std::size_t N>
+void fields_from_json(const json::Value& obj, S& section,
+                      const ReportField<S> (&fields)[N]) {
+  for (const auto& f : fields) {
+    const json::Value* v = obj.find(f.key);
+    if (v == nullptr && f.old_key != nullptr) v = obj.find(f.old_key);
+    if (v == nullptr && !f.optional) v = &obj.at(f.key);  // throws
+    section.*f.member = v != nullptr ? static_cast<std::uint64_t>(v->number) : 0u;
+  }
+}
+
+/// `name: key=value ...` when any field is nonzero.
+template <typename S, std::size_t N>
+void print_fields(std::FILE* out, const char* name, const S& section,
+                  const ReportField<S> (&fields)[N]) {
+  if (!any_field(section, fields)) return;
+  std::fprintf(out, "%s:", name);
+  for (const auto& f : fields) {
+    std::fprintf(out, " %s=%llu", f.key,
+                 static_cast<unsigned long long>(section.*f.member));
+  }
+  std::fputc('\n', out);
+}
+
+template <typename S, std::size_t N>
+void export_fields(MetricsRegistry& metrics, const char* prefix, const S& section,
+                   const ReportField<S> (&fields)[N]) {
+  for (const auto& f : fields) {
+    const std::string name = std::string(prefix) + f.key;
+    const std::uint64_t value = section.*f.member;
+    if (f.gauge) {
+      metrics.gauge(name)->set(static_cast<double>(value));
+    } else {
+      metrics.inc(name, value);
+    }
+  }
+}
+
 }  // namespace
 
-std::string Recorder::to_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) os << ",";
-    first = false;
-    os << json::quote(name) << ":" << value;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) os << ",";
-    first = false;
-    os << json::quote(name) << ":" << number_to_json(value);
-  }
-  os << "},\"spans\":[";
-  first = true;
-  for (const auto& s : spans_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":" << json::quote(s.name) << ",\"cat\":" << json::quote(s.category)
-       << ",\"tid\":" << s.tid << ",\"begin\":" << number_to_json(s.begin)
-       << ",\"end\":" << number_to_json(s.end) << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string Recorder::to_trace_event_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  // Name each timeline once so viewers label rank rows.
-  std::map<int, bool> tids;
-  for (const auto& s : spans_) tids[s.tid] = true;
-  for (const auto& [tid, unused] : tids) {
-    (void)unused;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-       << ",\"args\":{\"name\":" << json::quote("rank " + std::to_string(tid)) << "}}";
-  }
-  for (const auto& s : spans_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":" << json::quote(s.name) << ",\"cat\":"
-       << json::quote(s.category.empty() ? std::string("papar") : s.category)
-       << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid
-       << ",\"ts\":" << number_to_json(s.begin * 1e6)
-       << ",\"dur\":" << number_to_json(s.duration() * 1e6) << "}";
-  }
-  os << "],\"displayTimeUnit\":\"ms\"}";
-  return os.str();
-}
-
-void Recorder::write_trace(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw DataError("cannot open trace file " + path);
-  const std::string body = to_trace_event_json();
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  if (!out) throw DataError("trace write failed: " + path);
-}
-
-double process_seconds() {
-  static const WallTimer anchor;
-  return anchor.seconds();
-}
-
-void Span::end() {
-  if (done_) return;
-  done_ = true;
-  if (recorder_ == nullptr) return;
-  recorder_->record_span(
-      {std::move(name_), std::move(category_), tid_, begin_, process_seconds()});
-}
-
 // -- StageReport --------------------------------------------------------------
+
+bool FaultStats::any() const { return any_field(*this, kFaultFields); }
+bool MemoryStats::any() const { return any_field(*this, kMemoryFields); }
+bool SortStats::any() const { return any_field(*this, kSortFields); }
 
 std::uint64_t StageReport::stage_bytes_total() const {
   std::uint64_t n = 0;
@@ -161,33 +115,15 @@ std::uint64_t StageReport::stage_bytes_total() const {
 
 std::string StageReport::to_json() const {
   std::ostringstream os;
-  os << "{\"makespan\":" << number_to_json(makespan)
-     << ",\"remote_bytes\":" << remote_bytes
-     << ",\"remote_messages\":" << remote_messages << ",\"faults\":{"
-     << "\"drops\":" << faults.drops << ",\"duplicates\":" << faults.duplicates
-     << ",\"delays\":" << faults.delays << ",\"crashes\":" << faults.crashes
-     << ",\"retries\":" << faults.retries << ",\"detections\":" << faults.detections
-     << ",\"recoveries\":" << faults.recoveries
-     << ",\"checkpoint_saves\":" << faults.checkpoint_saves
-     << ",\"checkpoint_restores\":" << faults.checkpoint_restores
-     << ",\"corruptions\":" << faults.corruptions
-     << ",\"rank_replays\":" << faults.rank_replays
-     << ",\"segments_refetched\":" << faults.segments_refetched
-     << ",\"bytes_refetched\":" << faults.bytes_refetched
-     << ",\"retention_evictions\":" << faults.retention_evictions << "},\"memory\":{"
-     << "\"budget_bytes\":" << memory.budget_bytes
-     << ",\"high_water_bytes\":" << memory.high_water_bytes
-     << ",\"spill_bytes\":" << memory.spill_bytes
-     << ",\"spill_runs\":" << memory.spill_runs
-     << ",\"soft_crossings\":" << memory.soft_crossings
-     << ",\"backpressure_stalls\":" << memory.backpressure_stalls
-     << ",\"emergency_credits\":" << memory.emergency_credits << "},\"sort\":{"
-     << "\"records\":" << sort.records
-     << ",\"merge_sorts\":" << sort.merge_sorts
-     << ",\"radix_sorts\":" << sort.radix_sorts
-     << ",\"radix_passes\":" << sort.radix_passes
-     << ",\"radix_passes_skipped\":" << sort.radix_passes_skipped
-     << ",\"simd_level\":" << json::quote(sort.simd_level) << "},\"stages\":[";
+  os << "{\"makespan\":" << number_to_json(makespan) << ",";
+  fields_to_json(os, *this, kTotalFields);
+  os << ",\"faults\":{";
+  fields_to_json(os, faults, kFaultFields);
+  os << "},\"memory\":{";
+  fields_to_json(os, memory, kMemoryFields);
+  os << "},\"sort\":{";
+  fields_to_json(os, sort, kSortFields);
+  os << "},\"stages\":[";
   bool first = true;
   for (const auto& s : stages) {
     if (!first) os << ",";
@@ -209,57 +145,16 @@ StageReport StageReport::from_json(std::string_view text) {
                   "stage report JSON must be an object");
   StageReport report;
   report.makespan = root.at("makespan").number;
-  report.remote_bytes = static_cast<std::uint64_t>(root.at("remote_bytes").number);
-  report.remote_messages = static_cast<std::uint64_t>(root.at("remote_messages").number);
-  // Reports written before the fault section existed lack the key.
+  fields_from_json(root, report, kTotalFields);
+  // Reports written before a section existed lack its key.
   if (const json::Value* f = root.find("faults")) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(f->at(key).number);
-    };
-    report.faults.drops = u64("drops");
-    report.faults.duplicates = u64("duplicates");
-    report.faults.delays = u64("delays");
-    report.faults.crashes = u64("crashes");
-    report.faults.retries = u64("retries");
-    report.faults.detections = u64("detections");
-    report.faults.recoveries = u64("recoveries");
-    report.faults.checkpoint_saves = u64("checkpoint_saves");
-    report.faults.checkpoint_restores = u64("checkpoint_restores");
-    // Reports written before localized recovery existed lack these keys.
-    auto u64_or = [&](const char* key) -> std::uint64_t {
-      const json::Value* v = f->find(key);
-      return v != nullptr ? static_cast<std::uint64_t>(v->number) : 0u;
-    };
-    report.faults.corruptions = u64_or("corruptions");
-    report.faults.rank_replays = u64_or("rank_replays");
-    report.faults.segments_refetched = u64_or("segments_refetched");
-    report.faults.bytes_refetched = u64_or("bytes_refetched");
-    report.faults.retention_evictions = u64_or("retention_evictions");
+    fields_from_json(*f, report.faults, kFaultFields);
   }
-  // Reports written before the memory section existed lack the key.
   if (const json::Value* m = root.find("memory")) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(m->at(key).number);
-    };
-    report.memory.budget_bytes = u64("budget_bytes");
-    report.memory.high_water_bytes = u64("high_water_bytes");
-    report.memory.spill_bytes = u64("spill_bytes");
-    report.memory.spill_runs = u64("spill_runs");
-    report.memory.soft_crossings = u64("soft_crossings");
-    report.memory.backpressure_stalls = u64("backpressure_stalls");
-    report.memory.emergency_credits = u64("emergency_credits");
+    fields_from_json(*m, report.memory, kMemoryFields);
   }
-  // Reports written before the sort section existed lack the key.
   if (const json::Value* s = root.find("sort")) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(s->at(key).number);
-    };
-    report.sort.records = u64("records");
-    report.sort.merge_sorts = u64("merge_sorts");
-    report.sort.radix_sorts = u64("radix_sorts");
-    report.sort.radix_passes = u64("radix_passes");
-    report.sort.radix_passes_skipped = u64("radix_passes_skipped");
-    report.sort.simd_level = s->at("simd_level").string;
+    fields_from_json(*s, report.sort, kSortFields);
   }
   for (const auto& v : root.at("stages").array) {
     StageRecord s;
@@ -290,56 +185,16 @@ void StageReport::print(std::FILE* out) const {
   std::fprintf(out, "%-14s %-12s %12.6f %14llu %10llu\n", "total", "", makespan,
                static_cast<unsigned long long>(remote_bytes),
                static_cast<unsigned long long>(remote_messages));
-  if (faults.any()) {
-    std::fprintf(out,
-                 "faults: drops=%llu dups=%llu delays=%llu retries=%llu "
-                 "crashes=%llu detections=%llu recoveries=%llu "
-                 "ckpt_saves=%llu ckpt_restores=%llu\n",
-                 static_cast<unsigned long long>(faults.drops),
-                 static_cast<unsigned long long>(faults.duplicates),
-                 static_cast<unsigned long long>(faults.delays),
-                 static_cast<unsigned long long>(faults.retries),
-                 static_cast<unsigned long long>(faults.crashes),
-                 static_cast<unsigned long long>(faults.detections),
-                 static_cast<unsigned long long>(faults.recoveries),
-                 static_cast<unsigned long long>(faults.checkpoint_saves),
-                 static_cast<unsigned long long>(faults.checkpoint_restores));
-    if (faults.corruptions || faults.rank_replays ||
-        faults.segments_refetched || faults.retention_evictions) {
-      std::fprintf(out,
-                   "recovery: corruptions=%llu rank_replays=%llu "
-                   "refetched=%llu (%llu B) retention_evictions=%llu\n",
-                   static_cast<unsigned long long>(faults.corruptions),
-                   static_cast<unsigned long long>(faults.rank_replays),
-                   static_cast<unsigned long long>(faults.segments_refetched),
-                   static_cast<unsigned long long>(faults.bytes_refetched),
-                   static_cast<unsigned long long>(faults.retention_evictions));
-    }
-  }
-  if (memory.any()) {
-    std::fprintf(out,
-                 "memory: budget=%llu high_water=%llu spill_bytes=%llu "
-                 "spill_runs=%llu soft_crossings=%llu backpressure=%llu "
-                 "emergency_credits=%llu\n",
-                 static_cast<unsigned long long>(memory.budget_bytes),
-                 static_cast<unsigned long long>(memory.high_water_bytes),
-                 static_cast<unsigned long long>(memory.spill_bytes),
-                 static_cast<unsigned long long>(memory.spill_runs),
-                 static_cast<unsigned long long>(memory.soft_crossings),
-                 static_cast<unsigned long long>(memory.backpressure_stalls),
-                 static_cast<unsigned long long>(memory.emergency_credits));
-  }
-  if (sort.any()) {
-    std::fprintf(out,
-                 "sort: records=%llu merge=%llu radix=%llu "
-                 "radix_passes=%llu passes_skipped=%llu simd=%s\n",
-                 static_cast<unsigned long long>(sort.records),
-                 static_cast<unsigned long long>(sort.merge_sorts),
-                 static_cast<unsigned long long>(sort.radix_sorts),
-                 static_cast<unsigned long long>(sort.radix_passes),
-                 static_cast<unsigned long long>(sort.radix_passes_skipped),
-                 sort.simd_level.empty() ? "scalar" : sort.simd_level.c_str());
-  }
+  print_fields(out, "faults", faults, kFaultFields);
+  print_fields(out, "memory", memory, kMemoryFields);
+  print_fields(out, "sort", sort, kSortFields);
+}
+
+void StageReport::export_metrics(MetricsRegistry& metrics, bool with_faults,
+                                 bool with_memory) const {
+  export_fields(metrics, "", *this, kTotalFields);
+  if (with_faults) export_fields(metrics, "faults.", faults, kFaultFields);
+  if (with_memory) export_fields(metrics, "memory.", memory, kMemoryFields);
 }
 
 // -- JSON ---------------------------------------------------------------------

@@ -1,26 +1,35 @@
-// Observability layer: span timers, named counters/gauges, and per-job
-// stage reports, with JSON and Chrome trace_event export.
+// Observability layer: the Recorder (run counters and spans) and per-job
+// stage reports with their JSON, --stats and metrics views.
 //
 // The paper's argument is quantitative — partition time, skew, and shuffle
 // traffic per operator (§IV) — so every layer of the pipeline reports here:
 // mpsim ranks record spans in *virtual* seconds on their simulated clocks
-// (tid = rank), single-node code records wall seconds since process start;
-// both land in the same Recorder and export to the same trace, loadable in
-// chrome://tracing / Perfetto.
+// (tid = rank), and code on the ranks adds named counters. The Recorder
+// keeps its counters in a MetricsRegistry it owns, so --metrics, the
+// trace's embedded summary and programmatic reads all see one store.
+//
+// One writer per quantity: the fault injector, checkpoint store, memory
+// budget and runtime count their own events, and the engine copies the
+// finished StageReport into the Recorder's registry once per run, through
+// the same field lists that drive the report's JSON and --stats. The
+// Recorder is the only writer of the counters it names itself (shuffle
+// records and wire bytes, sort.*, traffic per collective kind, retention
+// spill bytes).
 //
 // Thread safety: a Recorder may be hammered concurrently by every simulated
-// rank and every pool worker; all mutation goes through one mutex. The
-// pipeline only records at phase boundaries (not per record), so the lock
-// is far off any hot path.
+// rank and every pool worker. The runtime adds a traffic counter per remote
+// message, so add_counter is one registry lookup plus an atomic add; spans
+// are recorded at phase boundaries under one mutex.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace papar::obs {
 
@@ -37,71 +46,28 @@ struct SpanEvent {
   double duration() const { return end - begin; }
 };
 
-/// Thread-safe sink for spans, monotonically increasing counters, and
-/// last-write-wins gauges.
+/// Thread-safe sink for spans and monotonically increasing counters.
 class Recorder {
  public:
   void add_counter(std::string_view name, std::uint64_t delta = 1);
+  /// The counter's value, or 0 for a name never added to; a read creates
+  /// no series.
   std::uint64_t counter(std::string_view name) const;
-  std::map<std::string, std::uint64_t> counters() const;
-
-  void set_gauge(std::string_view name, double value);
-  std::map<std::string, double> gauges() const;
 
   void record_span(SpanEvent event);
   std::vector<SpanEvent> spans() const;
   std::size_t span_count() const;
 
-  void clear();
-
-  /// {"counters": {...}, "gauges": {...}, "spans": [...]}.
-  std::string to_json() const;
-
-  /// Chrome trace_event format: {"traceEvents": [...]} with one complete
-  /// ("ph":"X") event per span, timestamps in microseconds.
-  std::string to_trace_event_json() const;
-
-  /// Writes to_trace_event_json() to `path`.
-  void write_trace(const std::string& path) const;
+  /// The registry behind the counters. The runtime resolves its message
+  /// histograms here, and the engine exports the stage report and the
+  /// telemetry gauges here.
+  MetricsRegistry& metrics() { return metrics_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
+  MetricsRegistry metrics_;
+  mutable std::mutex span_mutex_;
   std::vector<SpanEvent> spans_;
-};
-
-/// Seconds since process start on the steady clock — the anchor for
-/// wall-clock spans, so trace timestamps stay small and line up across
-/// threads.
-double process_seconds();
-
-/// RAII wall-clock span: opens at construction, records into the recorder
-/// when end() is called or the object dies. A null recorder makes it a
-/// no-op, so instrumented code needs no branches.
-class Span {
- public:
-  Span(Recorder* recorder, std::string name, std::string category = {}, int tid = 0)
-      : recorder_(recorder),
-        name_(std::move(name)),
-        category_(std::move(category)),
-        tid_(tid),
-        begin_(process_seconds()) {}
-  ~Span() { end(); }
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  /// Closes the span now (idempotent; the destructor is then a no-op).
-  void end();
-
- private:
-  Recorder* recorder_;
-  std::string name_;
-  std::string category_;
-  int tid_;
-  double begin_;
-  bool done_ = false;
 };
 
 // -- Stage reports ------------------------------------------------------------
@@ -126,13 +92,32 @@ struct StageRecord {
   double reducer_skew = 0.0;
 };
 
-/// Fault-injection and recovery tallies for one run. All zero on a
-/// fault-free run; populated by the engine when a FaultInjector is attached.
+/// One counter of a report section, listed once. The list drives the
+/// section's JSON keys, its --stats line, any(), and the metric the engine
+/// exports, named by the key path: `faults.retries` is exported as
+/// papar_faults_retries_total.
+template <typename Section>
+struct ReportField {
+  const char* key;
+  std::uint64_t Section::*member;
+  /// Reports written before the key existed lack it; from_json reads 0.
+  bool optional = false;
+  /// A peak or a limit: exported as a gauge instead of a counter.
+  bool gauge = false;
+  /// The key's name in reports written before it was renamed.
+  const char* old_key = nullptr;
+};
+
+/// Fault-injection and recovery tallies for one run, copied from the
+/// FaultInjector's counts and the CheckpointStore. All zero on a fault-free
+/// run; populated by the engine when a FaultInjector is attached.
 struct FaultStats {
   std::uint64_t drops = 0;
   std::uint64_t duplicates = 0;
   std::uint64_t delays = 0;
   std::uint64_t crashes = 0;
+  /// Retransmissions: one per dropped transmission and one per repaired
+  /// corruption.
   std::uint64_t retries = 0;
   std::uint64_t detections = 0;
   std::uint64_t recoveries = 0;
@@ -149,16 +134,28 @@ struct FaultStats {
   std::uint64_t bytes_refetched = 0;
   std::uint64_t retention_evictions = 0;
 
-  bool any() const {
-    return drops || duplicates || delays || crashes || retries || detections ||
-           recoveries || checkpoint_saves || checkpoint_restores ||
-           corruptions || rank_replays || segments_refetched ||
-           retention_evictions;
-  }
+  bool any() const;
 };
 
-/// Memory-governance tallies for one run (papar_mem_* metrics). All zero
-/// when no MemoryBudget was attached; populated by the engine.
+inline constexpr ReportField<FaultStats> kFaultFields[] = {
+    {"drops", &FaultStats::drops},
+    {"duplicates", &FaultStats::duplicates},
+    {"delays", &FaultStats::delays},
+    {"crashes", &FaultStats::crashes},
+    {"retries", &FaultStats::retries},
+    {"detections", &FaultStats::detections},
+    {"recoveries", &FaultStats::recoveries},
+    {"checkpoint_saves", &FaultStats::checkpoint_saves},
+    {"checkpoint_restores", &FaultStats::checkpoint_restores},
+    {"corruptions", &FaultStats::corruptions, true},
+    {"rank_replays", &FaultStats::rank_replays, true},
+    {"segments_refetched", &FaultStats::segments_refetched, true},
+    {"bytes_refetched", &FaultStats::bytes_refetched, true},
+    {"retention_evictions", &FaultStats::retention_evictions, true},
+};
+
+/// Memory-governance tallies for one run, copied from the MemoryBudget. All
+/// zero when the engine attached no budget.
 struct MemoryStats {
   /// Per-rank hard limit on tracked working bytes (0 = ungoverned run).
   std::uint64_t budget_bytes = 0;
@@ -174,32 +171,41 @@ struct MemoryStats {
   std::uint64_t backpressure_stalls = 0;
   std::uint64_t emergency_credits = 0;
 
-  bool any() const {
-    return budget_bytes || high_water_bytes || spill_bytes || spill_runs ||
-           soft_crossings || backpressure_stalls || emergency_credits;
-  }
+  bool any() const;
 };
 
-/// Sort-engine activity for one run: which engine the local sorts used,
-/// radix pass economy, and the SIMD level the vectorized kernels ran at.
-/// All zero/empty when the run had no sort stage; populated by the engine
-/// from the sort.* recorder counters (see sortlib::SortBreakdown).
+inline constexpr ReportField<MemoryStats> kMemoryFields[] = {
+    {"budget_bytes", &MemoryStats::budget_bytes, false, true},
+    {"high_water_bytes", &MemoryStats::high_water_bytes, false, true},
+    {"spill_bytes", &MemoryStats::spill_bytes},
+    {"spill_runs", &MemoryStats::spill_runs},
+    {"soft_crossings", &MemoryStats::soft_crossings},
+    {"backpressure_stalls", &MemoryStats::backpressure_stalls},
+    {"emergency_credits", &MemoryStats::emergency_credits},
+};
+
+/// Sort-engine activity for one run: which engine the local sorts used and
+/// the radix pass economy. A view of the Recorder's `sort.<key>` counters,
+/// read by the engine; all zero when the run had no sort or no Recorder.
 struct SortStats {
   /// Records local-sorted, summed over ranks and stages.
   std::uint64_t records = 0;
   /// Rank-stage sorts taken by each engine.
-  std::uint64_t merge_sorts = 0;
-  std::uint64_t radix_sorts = 0;
+  std::uint64_t engine_merge = 0;
+  std::uint64_t engine_radix = 0;
   /// LSD radix digit passes executed and skipped (single-valued digits).
   std::uint64_t radix_passes = 0;
   std::uint64_t radix_passes_skipped = 0;
-  /// SIMD dispatch level the sort kernels ran at ("avx2", "sse2", ...).
-  std::string simd_level;
 
-  bool any() const {
-    return records || merge_sorts || radix_sorts || radix_passes ||
-           radix_passes_skipped;
-  }
+  bool any() const;
+};
+
+inline constexpr ReportField<SortStats> kSortFields[] = {
+    {"records", &SortStats::records},
+    {"engine_merge", &SortStats::engine_merge, false, false, "merge_sorts"},
+    {"engine_radix", &SortStats::engine_radix, false, false, "radix_sorts"},
+    {"radix_passes", &SortStats::radix_passes},
+    {"radix_passes_skipped", &SortStats::radix_passes_skipped},
 };
 
 /// Per-job breakdown attached to a PartitionResult.
@@ -222,8 +228,21 @@ struct StageReport {
   /// Inverse of to_json() (round-trip safe for every field).
   static StageReport from_json(std::string_view text);
 
-  /// Aligned per-operator table plus a totals row.
+  /// Aligned per-operator table plus a totals row, then one `key=value`
+  /// line per nonzero section.
   void print(std::FILE* out) const;
+
+  /// Adds the run totals, and the fault and memory sections when their
+  /// owners were attached to the run, to `metrics` under their JSON key
+  /// paths. The sort section is the Recorder's own sort.* counters, so it
+  /// is not written a second time.
+  void export_metrics(MetricsRegistry& metrics, bool with_faults,
+                      bool with_memory) const;
+};
+
+inline constexpr ReportField<StageReport> kTotalFields[] = {
+    {"remote_bytes", &StageReport::remote_bytes},
+    {"remote_messages", &StageReport::remote_messages},
 };
 
 // -- Minimal JSON (export validation / round-trips) ---------------------------

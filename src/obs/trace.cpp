@@ -191,8 +191,9 @@ const char* slice_category(const TraceEvent& e) {
 
 }  // namespace
 
-std::string to_chrome_trace(const TraceData& trace, const Recorder* spans,
-                            const StageReport* report, const MetricsRegistry* metrics) {
+std::string to_chrome_trace(const TraceData& trace, const Recorder* recorder,
+                            const StageReport* report) {
+  const MetricsRegistry* metrics = recorder != nullptr ? &recorder->metrics() : nullptr;
   std::ostringstream os;
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -205,8 +206,8 @@ std::string to_chrome_trace(const TraceData& trace, const Recorder* spans,
   std::vector<int> tids;
   for (int r = 0; r < trace.nranks; ++r) tids.push_back(r);
   std::vector<SpanEvent> span_events;
-  if (spans != nullptr) {
-    span_events = spans->spans();
+  if (recorder != nullptr) {
+    span_events = recorder->spans();
     for (const auto& s : span_events) {
       if (std::find(tids.begin(), tids.end(), s.tid) == tids.end()) tids.push_back(s.tid);
     }
@@ -302,11 +303,10 @@ std::string to_chrome_trace(const TraceData& trace, const Recorder* spans,
 }
 
 void write_chrome_trace(const std::string& path, const TraceData& trace,
-                        const Recorder* spans, const StageReport* report,
-                        const MetricsRegistry* metrics) {
+                        const Recorder* recorder, const StageReport* report) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw DataError("cannot open trace file " + path);
-  const std::string body = to_chrome_trace(trace, spans, report, metrics);
+  const std::string body = to_chrome_trace(trace, recorder, report);
   out.write(body.data(), static_cast<std::streamsize>(body.size()));
   if (!out) throw DataError("trace write failed: " + path);
 }

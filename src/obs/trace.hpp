@@ -29,7 +29,6 @@
 namespace papar::obs {
 
 class Recorder;
-class MetricsRegistry;
 struct StageReport;
 
 enum class TraceEventKind : std::uint8_t {
@@ -134,19 +133,18 @@ class TraceRecorder {
 /// Chrome trace_event JSON for the traced run: per-rank "rank N" tracks
 /// with one complete slice per send/recv/barrier event and one flow arrow
 /// ("ph":"s"/"f") per matched message edge, so Perfetto draws messages as
-/// arrows between rank tracks. `spans` (optional) contributes the
-/// wall/virtual spans the classic Recorder collected (engine job spans,
-/// whole-rank spans). The returned document also embeds the full event
-/// graph (and, when given, the stage report and metrics summary) under the
-/// top-level "papar" key — Perfetto ignores unknown keys, so one artifact
-/// serves both the viewer and `papar_trace`.
-std::string to_chrome_trace(const TraceData& trace, const Recorder* spans,
-                            const StageReport* report, const MetricsRegistry* metrics);
+/// arrows between rank tracks. `recorder` (optional) contributes its spans
+/// (engine job spans, whole-rank spans), its gauge timelines as counter
+/// events, and its metrics summary. The returned document also embeds the
+/// full event graph (and, when given, the stage report and metrics summary)
+/// under the top-level "papar" key — Perfetto ignores unknown keys, so one
+/// artifact serves both the viewer and `papar_trace`.
+std::string to_chrome_trace(const TraceData& trace, const Recorder* recorder,
+                            const StageReport* report);
 
 /// Writes to_chrome_trace() to `path`; throws papar::DataError on failure.
 void write_chrome_trace(const std::string& path, const TraceData& trace,
-                        const Recorder* spans, const StageReport* report,
-                        const MetricsRegistry* metrics);
+                        const Recorder* recorder, const StageReport* report);
 
 /// Loads the "papar" section back out of a file written by
 /// write_chrome_trace(). Throws papar::DataError if the file has none.

@@ -154,36 +154,27 @@ void MemoryBudget::note_spill(int rank, std::size_t bytes) {
   (void)rank;
   spill_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   spill_runs_.fetch_add(1, std::memory_order_relaxed);
-  emit("mem.spill_bytes", bytes);
-  emit("mem.spill_runs", 1);
 }
 
 void MemoryBudget::note_soft_crossing(int rank) {
   (void)rank;
   soft_crossings_.fetch_add(1, std::memory_order_relaxed);
-  emit("mem.soft_crossings", 1);
 }
 
 void MemoryBudget::note_backpressure(int rank) {
   (void)rank;
   backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
-  emit("mem.backpressure_stalls", 1);
 }
 
 void MemoryBudget::note_emergency_credit(int rank) {
   (void)rank;
   emergency_credits_.fetch_add(1, std::memory_order_relaxed);
-  emit("mem.emergency_credits", 1);
 }
 
 void MemoryBudget::fail_allocation_after(std::uint64_t n) {
   PAPAR_CHECK_MSG(n > 0, "fail_allocation_after is 1-based");
   fail_after_.store(static_cast<std::int64_t>(n) - 1,
                     std::memory_order_relaxed);
-}
-
-void MemoryBudget::emit(const char* name, std::uint64_t delta) {
-  if (hook_) hook_(name, delta);
 }
 
 std::string MemoryBudget::describe(int rank) const {

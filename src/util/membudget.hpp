@@ -30,14 +30,14 @@
 // Usage, peaks and counter totals are plain atomics, and peak tracking is a
 // lock-free compare-and-swap max, because acquire() runs once per record on
 // a spooling rank. Only the stage label takes a per-rank mutex; it is kept
-// for BudgetExceededError and the deadlock dump. The optional counter hook
-// is invoked outside any lock and must be installed before the run starts.
+// for BudgetExceededError and the deadlock dump. The event counters are the
+// only store of those quantities: the engine copies them into the run's
+// StageReport (and from there into the metrics registry) after the run.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,8 +87,6 @@ struct MemoryBudgetConfig {
 
 class MemoryBudget {
  public:
-  using CounterHook = std::function<void(const char* name, std::uint64_t delta)>;
-
   explicit MemoryBudget(MemoryBudgetConfig cfg);
 
   /// Sizes the per-rank slots. Must be called (by Runtime::set_memory_budget
@@ -138,11 +136,6 @@ class MemoryBudget {
   std::uint64_t backpressure_stalls() const { return backpressure_stalls_.load(std::memory_order_relaxed); }
   std::uint64_t emergency_credits() const { return emergency_credits_.load(std::memory_order_relaxed); }
 
-  /// Installs a callback invoked on budget events with obs-style counter
-  /// names ("mem.spill_bytes", "mem.backpressure_stalls", ...). Install
-  /// before the run; invoked concurrently from rank threads.
-  void set_counter_hook(CounterHook hook) { hook_ = std::move(hook); }
-
   /// Test hook: the n-th acquire() from now (1-based) throws
   /// std::bad_alloc, emulating an allocation failure at a seeded point.
   void fail_allocation_after(std::uint64_t n);
@@ -161,7 +154,6 @@ class MemoryBudget {
   };
 
   void bump_high_water(RankSlot& slot) noexcept;
-  void emit(const char* name, std::uint64_t delta);
 
   MemoryBudgetConfig cfg_;
   std::vector<std::unique_ptr<RankSlot>> ranks_;
@@ -173,8 +165,6 @@ class MemoryBudget {
   std::atomic<std::uint64_t> emergency_credits_{0};
 
   std::atomic<std::int64_t> fail_after_{-1};
-
-  CounterHook hook_;
 };
 
 /// RAII helper: acquires on construction, releases on destruction.

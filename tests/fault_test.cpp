@@ -109,8 +109,8 @@ TEST(FaultInjector, SameSeedSameDecisions) {
   a.bind(4);
   b.bind(4);
   for (int i = 0; i < 200; ++i) {
-    const auto da = a.next_decision(0, 3);
-    const auto db = b.next_decision(0, 3);
+    const auto da = a.next_decision(0, 3, 64);
+    const auto db = b.next_decision(0, 3, 64);
     EXPECT_EQ(da.drops, db.drops);
     EXPECT_EQ(da.duplicate, db.duplicate);
     EXPECT_DOUBLE_EQ(da.extra_delay, db.extra_delay);
@@ -127,10 +127,10 @@ TEST(FaultInjector, LinksAreIndependentStreams) {
   b.bind(4);
   // Interleave draws on other links in `b` only: link (0,3) must not care.
   for (int i = 0; i < 50; ++i) {
-    b.next_decision(1, 2);
-    b.next_decision(2, 1);
-    const auto da = a.next_decision(0, 3);
-    const auto db = b.next_decision(0, 3);
+    b.next_decision(1, 2, 64);
+    b.next_decision(2, 1, 64);
+    const auto da = a.next_decision(0, 3, 64);
+    const auto db = b.next_decision(0, 3, 64);
     EXPECT_EQ(da.drops, db.drops);
   }
 }
@@ -458,7 +458,7 @@ TEST(CheckpointStore, MapReducePageRoundTrips) {
 TEST(FaultInjector, PruneFoldsAcknowledgedEventsIntoAggregates) {
   FaultInjector inj(FaultPlan::parse("seed=11,drop=0.2,dup=0.1,delay=0.3"));
   inj.bind(2);
-  for (int i = 0; i < 300; ++i) (void)inj.next_decision(0, 1);
+  for (int i = 0; i < 300; ++i) (void)inj.next_decision(0, 1, 64);
   const std::size_t before = inj.trace_size();
   ASSERT_GT(before, 0u);
   EXPECT_GT(inj.prune_acknowledged(), 0u);
@@ -480,7 +480,7 @@ TEST(FaultInjector, PruneKeepsCrashEventsVerbatim) {
   bool crashed = false;
   for (int e = 0; e < 5; ++e) crashed = crashed || inj.on_comm_event(1);
   ASSERT_TRUE(crashed);
-  for (int i = 0; i < 50; ++i) (void)inj.next_decision(0, 1);
+  for (int i = 0; i < 50; ++i) (void)inj.next_decision(0, 1, 64);
   (void)inj.prune_acknowledged();
   const std::string trace = inj.trace_string();
   // Drops fold into aggregates; the crash stays a verbatim per-event line.

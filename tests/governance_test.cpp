@@ -120,19 +120,19 @@ TEST(MemoryBudget, FailAllocationAfterInjectsBadAlloc) {
   EXPECT_EQ(budget.used(0), 2u);
 }
 
-TEST(MemoryBudget, CounterHookSeesSpillEvents) {
+TEST(MemoryBudget, EventCountersAccumulate) {
   MemoryBudget budget({});
-  budget.bind(1);
-  std::map<std::string, std::uint64_t> seen;
-  budget.set_counter_hook(
-      [&seen](const char* name, std::uint64_t delta) { seen[name] += delta; });
+  budget.bind(2);
   budget.note_spill(0, 4096);
+  budget.note_spill(1, 100);
   budget.note_backpressure(0);
-  EXPECT_EQ(seen.at("mem.spill_bytes"), 4096u);
-  EXPECT_EQ(seen.at("mem.spill_runs"), 1u);
-  EXPECT_EQ(seen.at("mem.backpressure_stalls"), 1u);
-  EXPECT_EQ(budget.spill_bytes(), 4096u);
-  EXPECT_EQ(budget.spill_runs(), 1u);
+  budget.note_soft_crossing(1);
+  budget.note_emergency_credit(0);
+  EXPECT_EQ(budget.spill_bytes(), 4196u);
+  EXPECT_EQ(budget.spill_runs(), 2u);
+  EXPECT_EQ(budget.backpressure_stalls(), 1u);
+  EXPECT_EQ(budget.soft_crossings(), 1u);
+  EXPECT_EQ(budget.emergency_credits(), 1u);
 }
 
 TEST(MemoryBudget, ScopeReleasesOnUnwindAndSupportsGrowShrink) {

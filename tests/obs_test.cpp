@@ -1,5 +1,5 @@
-// Tests for the observability layer: Recorder counters/gauges/spans, the
-// RAII Span, StageReport round-trips, and the JSON / trace_event exporters.
+// Tests for the observability layer: Recorder counters, StageReport
+// round-trips and field lists, and the JSON parser.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +20,14 @@ TEST(Recorder, CountersAccumulate) {
   rec.add_counter("messages");
   EXPECT_EQ(rec.counter("bytes"), 42u);
   EXPECT_EQ(rec.counter("messages"), 1u);
-  EXPECT_EQ(rec.counters().size(), 2u);
+  EXPECT_EQ(rec.metrics().counter_values().size(), 2u);
+}
+
+TEST(Recorder, CounterReadCreatesNoSeries) {
+  Recorder rec;
+  EXPECT_EQ(rec.counter("never.added"), 0u);
+  EXPECT_TRUE(rec.metrics().counter_values().empty());
+  EXPECT_EQ(rec.metrics().to_prometheus().find("never_added"), std::string::npos);
 }
 
 TEST(Recorder, CounterAggregationAcrossThreads) {
@@ -43,105 +50,6 @@ TEST(Recorder, CounterAggregationAcrossThreads) {
     EXPECT_EQ(rec.counter("per_thread." + std::to_string(t)),
               static_cast<std::uint64_t>(kIncrements) * 2);
   }
-}
-
-TEST(Recorder, GaugesLastWriteWins) {
-  Recorder rec;
-  rec.set_gauge("skew", 1.5);
-  rec.set_gauge("skew", 2.25);
-  EXPECT_DOUBLE_EQ(rec.gauges().at("skew"), 2.25);
-}
-
-TEST(Recorder, ClearEmptiesEverything) {
-  Recorder rec;
-  rec.add_counter("c");
-  rec.set_gauge("g", 1.0);
-  rec.record_span({"s", "", 0, 0.0, 1.0});
-  rec.clear();
-  EXPECT_EQ(rec.counter("c"), 0u);
-  EXPECT_TRUE(rec.gauges().empty());
-  EXPECT_EQ(rec.span_count(), 0u);
-}
-
-TEST(Span, NestedSpansAreContained) {
-  Recorder rec;
-  {
-    Span outer(&rec, "outer", "test");
-    {
-      Span inner(&rec, "inner", "test");
-    }
-  }
-  const auto spans = rec.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  // Inner closes first, so it is recorded first.
-  EXPECT_EQ(spans[0].name, "inner");
-  EXPECT_EQ(spans[1].name, "outer");
-  EXPECT_LE(spans[1].begin, spans[0].begin);
-  EXPECT_GE(spans[1].end, spans[0].end);
-  EXPECT_GE(spans[0].duration(), 0.0);
-  EXPECT_GE(spans[1].duration(), spans[0].duration());
-}
-
-TEST(Span, NullRecorderIsNoop) {
-  Span span(nullptr, "ignored");
-  span.end();  // must not crash
-}
-
-TEST(Span, EndIsIdempotent) {
-  Recorder rec;
-  Span span(&rec, "once");
-  span.end();
-  span.end();
-  EXPECT_EQ(rec.span_count(), 1u);
-}
-
-TEST(Recorder, ToJsonRoundTrip) {
-  Recorder rec;
-  rec.add_counter("mr.shuffle.wire_bytes", 12345);
-  rec.set_gauge("skew", 1.25);
-  rec.record_span({"job:sort", "engine", 3, 0.5, 1.75});
-  const json::Value root = json::parse(rec.to_json());
-  EXPECT_DOUBLE_EQ(root.at("counters").at("mr.shuffle.wire_bytes").number, 12345.0);
-  EXPECT_DOUBLE_EQ(root.at("gauges").at("skew").number, 1.25);
-  const auto& spans = root.at("spans").array;
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].at("name").string, "job:sort");
-  EXPECT_EQ(spans[0].at("cat").string, "engine");
-  EXPECT_DOUBLE_EQ(spans[0].at("tid").number, 3.0);
-  EXPECT_DOUBLE_EQ(spans[0].at("begin").number, 0.5);
-  EXPECT_DOUBLE_EQ(spans[0].at("end").number, 1.75);
-}
-
-TEST(Recorder, TraceEventRoundTrip) {
-  Recorder rec;
-  rec.record_span({"phase \"a\"", "", 0, 0.001, 0.002});
-  rec.record_span({"phase b", "mr", 1, 0.002, 0.0045});
-  const json::Value root = json::parse(rec.to_trace_event_json());
-  const auto& events = root.at("traceEvents").array;
-  // One thread_name metadata event per tid plus one X event per span.
-  ASSERT_EQ(events.size(), 4u);
-  int meta = 0;
-  int complete = 0;
-  for (const auto& e : events) {
-    const std::string& ph = e.at("ph").string;
-    if (ph == "M") {
-      ++meta;
-      EXPECT_EQ(e.at("name").string, "thread_name");
-      continue;
-    }
-    ASSERT_EQ(ph, "X");
-    ++complete;
-    EXPECT_DOUBLE_EQ(e.at("pid").number, 1.0);
-    EXPECT_GE(e.at("dur").number, 0.0);
-  }
-  EXPECT_EQ(meta, 2);
-  EXPECT_EQ(complete, 2);
-  // Timestamps are microseconds; the empty category defaults to "papar".
-  const auto& first_x = events[2];
-  EXPECT_EQ(first_x.at("name").string, "phase \"a\"");
-  EXPECT_EQ(first_x.at("cat").string, "papar");
-  EXPECT_DOUBLE_EQ(first_x.at("ts").number, 1000.0);
-  EXPECT_DOUBLE_EQ(first_x.at("dur").number, 1000.0);
 }
 
 TEST(StageReport, JsonRoundTrip) {
@@ -187,6 +95,102 @@ TEST(StageReport, JsonRoundTrip) {
   EXPECT_EQ(back.stage_bytes_total(), report.remote_bytes);
 }
 
+TEST(StageReport, FieldListsDriveJsonAnyAndPrint) {
+  StageReport report;
+  // bytes_refetched alone makes the fault section nonzero.
+  report.faults.bytes_refetched = 7;
+  EXPECT_TRUE(report.faults.any());
+  report.faults.retries = 9;
+  report.memory.high_water_bytes = 4096;
+  report.sort.engine_radix = 3;
+  const json::Value root = json::parse(report.to_json());
+  EXPECT_DOUBLE_EQ(root.at("faults").at("bytes_refetched").number, 7.0);
+  EXPECT_DOUBLE_EQ(root.at("memory").at("high_water_bytes").number, 4096.0);
+  EXPECT_DOUBLE_EQ(root.at("sort").at("engine_radix").number, 3.0);
+  EXPECT_EQ(root.at("sort").find("simd_level"), nullptr);
+  for (const auto& f : kFaultFields) {
+    EXPECT_NE(root.at("faults").find(f.key), nullptr) << f.key;
+  }
+
+  const StageReport back = StageReport::from_json(report.to_json());
+  EXPECT_EQ(back.faults.bytes_refetched, 7u);
+  EXPECT_EQ(back.faults.retries, 9u);
+  EXPECT_EQ(back.memory.high_water_bytes, 4096u);
+  EXPECT_EQ(back.sort.engine_radix, 3u);
+
+  // --stats prints every field of a nonzero section under its JSON key.
+  std::FILE* tmp = std::tmpfile();
+  ASSERT_NE(tmp, nullptr);
+  report.print(tmp);
+  std::rewind(tmp);
+  std::string text;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), tmp) != nullptr) text += buf;
+  std::fclose(tmp);
+  EXPECT_NE(text.find(" retries=9 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" bytes_refetched=7 "), std::string::npos) << text;
+  EXPECT_NE(text.find("memory: budget_bytes=0 high_water_bytes=4096 "),
+            std::string::npos) << text;
+  EXPECT_NE(text.find(" engine_radix=3 "), std::string::npos) << text;
+  EXPECT_EQ(text.find("simd"), std::string::npos) << text;
+}
+
+TEST(StageReport, ReadsOlderReports) {
+  // A report from before localized recovery (no corruptions..evictions) and
+  // before the sort keys followed the sort.* counter names.
+  const std::string old = R"({"makespan":0.5,"remote_bytes":10,"remote_messages":2,
+    "faults":{"drops":1,"duplicates":0,"delays":0,"crashes":0,"retries":1,
+              "detections":0,"recoveries":0,"checkpoint_saves":2,
+              "checkpoint_restores":0},
+    "sort":{"records":8,"merge_sorts":1,"radix_sorts":2,"radix_passes":3,
+            "radix_passes_skipped":4,"simd_level":"avx2"},
+    "stages":[]})";
+  const StageReport r = StageReport::from_json(old);
+  EXPECT_EQ(r.faults.checkpoint_saves, 2u);
+  EXPECT_EQ(r.faults.corruptions, 0u);
+  EXPECT_EQ(r.faults.bytes_refetched, 0u);
+  EXPECT_FALSE(r.memory.any());
+  EXPECT_EQ(r.sort.records, 8u);
+  EXPECT_EQ(r.sort.engine_merge, 1u);
+  EXPECT_EQ(r.sort.engine_radix, 2u);
+  EXPECT_EQ(r.sort.radix_passes_skipped, 4u);
+  // A key that was always written stays required.
+  EXPECT_THROW(StageReport::from_json(
+                   R"({"makespan":0,"remote_bytes":0,"remote_messages":0,
+                       "faults":{"drops":1},"stages":[]})"),
+               Error);
+}
+
+TEST(StageReport, ExportsUnderJsonKeyPaths) {
+  StageReport report;
+  report.remote_bytes = 100;
+  report.remote_messages = 4;
+  report.faults.retries = 3;
+  report.memory.high_water_bytes = 512;
+  report.memory.spill_runs = 2;
+  report.sort.records = 50;
+  MetricsRegistry metrics;
+  report.export_metrics(metrics, /*with_faults=*/true, /*with_memory=*/true);
+  EXPECT_EQ(metrics.counter_value("remote_bytes"), 100u);
+  EXPECT_EQ(metrics.counter_value("remote_messages"), 4u);
+  EXPECT_EQ(metrics.counter_value("faults.retries"), 3u);
+  EXPECT_EQ(metrics.counter_value("memory.spill_runs"), 2u);
+  // Peaks and limits are gauges; the sort section is the recorder's own.
+  EXPECT_EQ(metrics.counter_value("memory.high_water_bytes"), 0u);
+  EXPECT_EQ(metrics.counter_value("sort.records"), 0u);
+  const std::string prom = metrics.to_prometheus();
+  EXPECT_NE(prom.find("papar_faults_retries_total 3\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("# TYPE papar_memory_high_water_bytes gauge\n"
+                      "papar_memory_high_water_bytes 512\n"),
+            std::string::npos)
+      << prom;
+
+  MetricsRegistry bare;
+  report.export_metrics(bare, /*with_faults=*/false, /*with_memory=*/false);
+  EXPECT_EQ(bare.counter_values().size(), 2u);
+  EXPECT_TRUE(bare.gauge_series().empty());
+}
+
 TEST(Json, ParseRejectsMalformed) {
   EXPECT_THROW(json::parse("{"), DataError);
   EXPECT_THROW(json::parse("[1, 2,"), DataError);
@@ -200,13 +204,6 @@ TEST(Json, QuoteRoundTripsThroughParse) {
   const json::Value v = json::parse(json::quote(nasty));
   ASSERT_EQ(v.kind, json::Value::Kind::kString);
   EXPECT_EQ(v.string, nasty);
-}
-
-TEST(ProcessSeconds, IsMonotone) {
-  const double a = process_seconds();
-  const double b = process_seconds();
-  EXPECT_GE(b, a);
-  EXPECT_GE(a, 0.0);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@
 #include "mapreduce/mapreduce.hpp"
 #include "mapreduce/spill.hpp"
 #include "mpsim/runtime.hpp"
-#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "schema/input_config.hpp"
 #include "util/bytes.hpp"
 #include "xml/xml.hpp"
@@ -105,6 +105,37 @@ TEST(RecoveryIntegrity, CorruptionsAreDetectedRepairedAndCharged) {
   EXPECT_EQ(stats.recoveries, 0);
 }
 
+TEST(RecoveryIntegrity, EmptyPayloadsAreNeverCountedCorrupted) {
+  // Every draw corrupts, but an empty payload has no bit to flip: only the
+  // 20 three-byte payloads are corrupted, traced and repaired.
+  mp::Runtime rt(2, mp::NetworkModel::rdma());
+  mp::FaultInjector inj(mp::FaultPlan::parse("seed=3,corrupt=1"));
+  rt.set_fault_injector(&inj);
+  rt.run([](mp::Comm& comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i < 20; ++i) {
+        comm.send(1, 0, std::vector<unsigned char>{});
+        comm.send(1, 1, bytes_of("abc"));
+      }
+    } else {
+      for (int i = 0; i < 20; ++i) {
+        EXPECT_TRUE(comm.recv(0, 0).payload.empty());
+        EXPECT_EQ(str_of(comm.recv(0, 1).payload), "abc");
+      }
+    }
+  });
+  const auto counts = inj.counts();
+  EXPECT_EQ(counts.corruptions, 20u);
+  EXPECT_EQ(counts.retries, 20u);
+  const std::string trace = inj.trace_string();
+  std::size_t traced = 0;
+  for (std::size_t at = trace.find("corrupt"); at != std::string::npos;
+       at = trace.find("corrupt", at + 1)) {
+    ++traced;
+  }
+  EXPECT_EQ(traced, 20u) << trace;
+}
+
 TEST(RecoveryIntegrity, ExhaustedStageRetryBudgetThrowsDataError) {
   mp::Runtime rt(2, mp::NetworkModel::rdma());
   mp::RecoveryOptions ropts;
@@ -157,7 +188,6 @@ TEST(RecoveryReplay, SingleRankReplayReproducesResultWithoutStageRecovery) {
   EXPECT_EQ(recovered, clean);
   EXPECT_EQ(inj.counts().crashes, 1u);
   EXPECT_GE(inj.counts().rank_replays, 1u);
-  EXPECT_GE(stats.rank_replays, 1u);
   // Localized: no full-stage recovery attempt, and no live peer ever
   // observed the crash.
   EXPECT_EQ(stats.recoveries, 0);
@@ -205,8 +235,6 @@ TEST(RecoveryReplay, ReplayRefetchesConsumedSegmentsAndChargesTheClock) {
   EXPECT_GT(counts.refetches, 0u);
   EXPECT_GT(counts.refetch_bytes, 0u);
   EXPECT_EQ(stats.recoveries, 0);
-  EXPECT_EQ(stats.refetched_segments, counts.refetches);
-  EXPECT_EQ(stats.refetched_bytes, counts.refetch_bytes);
 }
 
 TEST(RecoveryReplay, ReplayedSendsAreSuppressedExactlyOnce) {
@@ -302,7 +330,7 @@ TEST(RecoveryReplay, SpilledRetentionServesReplayFromDisk) {
   // The window overflowed to the spool and the replay read it back through
   // the CRC32C check.
   EXPECT_GT(recorder.counter("recovery.retention_spill_bytes"), 0u);
-  EXPECT_GT(recorder.counter("recovery.refetches"), 0u);
+  EXPECT_GT(inj.counts().refetches, 0u);
   fs::remove_all(dir);
 }
 
@@ -419,18 +447,18 @@ TEST(RecoveryEngine, LocalRecoveryIsByteIdenticalAndExportsMetrics) {
   opts.recovery.mode = mp::RecoveryMode::kLocal;
   mp::FaultInjector inj(
       mp::FaultPlan::parse("seed=2,crash=1@" + std::to_string(mid)));
-  obs::MetricsRegistry metrics;
+  obs::Recorder recorder;
   mp::Runtime rt(3, mp::NetworkModel::zero());
   rt.set_fault_injector(&inj);
-  rt.set_metrics(&metrics);
+  rt.set_recorder(&recorder);
   const auto recovered = run_sort_workflow(content, opts, &rt);
-  rt.set_metrics(nullptr);
+  rt.set_recorder(nullptr);
 
   EXPECT_EQ(recovered.partitions, plain.partitions);
   EXPECT_GE(recovered.report.faults.rank_replays, 1u);
   EXPECT_EQ(recovered.report.faults.recoveries, 0u);
-  EXPECT_GE(metrics.counter("recovery.rank_replays")->value(), 1u);
-  EXPECT_EQ(metrics.counter("recovery.rank_replays")->value(),
+  EXPECT_GE(recorder.counter("faults.rank_replays"), 1u);
+  EXPECT_EQ(recorder.counter("faults.rank_replays"),
             recovered.report.faults.rank_replays);
 }
 

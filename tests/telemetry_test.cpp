@@ -2,9 +2,12 @@
 // stream + papar_top frame model, the flight recorder on injected deadlock
 // and budget breach, gauge timelines, and the Prometheus exposition fixes
 // (explicit +Inf bucket, label-value escaping). Histogram bucket-boundary
-// and concurrency tests for MetricsRegistry live here too.
+// and concurrency tests for MetricsRegistry live here too, as do the
+// one-store checks: every report field reaches the Recorder's registry once,
+// under its JSON key path, and no retired shadow counter comes back.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -440,14 +443,11 @@ TEST(EngineTelemetry, StreamRunStaysByteIdenticalAndExportsGauges) {
   core::EngineOptions opts;
   opts.telemetry = true;
   opts.telemetry_stream = (dir / "live.jsonl").string();
-  obs::MetricsRegistry metrics;
   obs::Recorder recorder;
   mp::Runtime rt(3, mp::NetworkModel::zero());
-  rt.set_metrics(&metrics);
   rt.set_recorder(&recorder);  // sort-engine counters feed report.sort
   const auto streamed = run_sort_workflow(content, opts, &rt);
   rt.set_recorder(nullptr);
-  rt.set_metrics(nullptr);
 
   // Telemetry must not perturb results.
   EXPECT_EQ(streamed.partitions, plain.partitions);
@@ -464,9 +464,10 @@ TEST(EngineTelemetry, StreamRunStaysByteIdenticalAndExportsGauges) {
     EXPECT_GT(s.sort_records, 0u);
   }
 
-  // Rings were folded into labeled gauge timelines.
+  // Rings were folded into labeled gauge timelines of the recorder's
+  // registry.
   bool saw_mailbox_rank0 = false;
-  for (const auto& g : metrics.gauge_series()) {
+  for (const auto& g : recorder.metrics().gauge_series()) {
     if (g.name == "telemetry_mailbox_bytes" && !g.labels.empty() &&
         g.labels[0].second == "0") {
       saw_mailbox_rank0 = true;
@@ -478,8 +479,191 @@ TEST(EngineTelemetry, StreamRunStaysByteIdenticalAndExportsGauges) {
   // And the sort stats satellite rode along in the report.
   EXPECT_GT(streamed.report.sort.records, 0u);
   EXPECT_TRUE(streamed.report.sort.any());
-  EXPECT_FALSE(streamed.report.sort.simd_level.empty());
   fs::remove_all(dir);
+}
+
+// -- One store, one writer, one name ------------------------------------------
+
+/// Families whose quantities are now exported once, under their report key
+/// paths; no writer may create them again.
+bool retired_metric(const std::string& name) {
+  for (const char* prefix :
+       {"fault.", "ckpt.", "mem.", "mpsim_retransmits", "mpsim.remote_", "recovery."}) {
+    if (name.rfind(prefix, 0) == 0) return name != "recovery.retention_spill_bytes";
+  }
+  return false;
+}
+
+/// The gauge named `name`'s last value, or -1 when the registry has none.
+double gauge_value(const obs::MetricsRegistry& m, const std::string& name) {
+  for (const auto& g : m.gauge_series()) {
+    if (g.name == name && g.labels.empty()) return g.value;
+  }
+  return -1.0;
+}
+
+/// Every report field equals its one series in the recorder's registry,
+/// and no retired name exists. The memory section is exported only when the
+/// engine governed the run with a budget.
+void expect_one_series_per_field(const obs::StageReport& report,
+                                 const obs::Recorder& recorder, bool governed) {
+  const obs::MetricsRegistry& m = recorder.metrics();
+  EXPECT_EQ(m.counter_value("remote_bytes"), report.remote_bytes);
+  EXPECT_EQ(m.counter_value("remote_messages"), report.remote_messages);
+  for (const auto& f : obs::kFaultFields) {
+    EXPECT_EQ(m.counter_value(std::string("faults.") + f.key), report.faults.*f.member)
+        << f.key;
+  }
+  for (const auto& f : obs::kMemoryFields) {
+    const std::string name = std::string("memory.") + f.key;
+    const auto want = report.memory.*f.member;
+    if (!governed) {
+      EXPECT_EQ(gauge_value(m, name), -1.0) << name;
+      EXPECT_EQ(m.counter_values().count(name), 0u) << name;
+    } else if (f.gauge) {
+      EXPECT_EQ(gauge_value(m, name), static_cast<double>(want)) << name;
+    } else {
+      EXPECT_EQ(m.counter_value(name), want) << name;
+    }
+  }
+  for (const auto& f : obs::kSortFields) {
+    EXPECT_EQ(recorder.counter(std::string("sort.") + f.key), report.sort.*f.member)
+        << f.key;
+  }
+  for (const auto& [name, value] : m.counter_values()) {
+    EXPECT_FALSE(retired_metric(name)) << name << " = " << value;
+  }
+  for (const auto& g : m.gauge_series()) EXPECT_FALSE(retired_metric(g.name)) << g.name;
+}
+
+/// The report's fault section is the injector's count, field for field.
+void expect_faults_from_injector(const obs::FaultStats& f, const mp::FaultCounts& c) {
+  EXPECT_EQ(f.drops, c.drops);
+  EXPECT_EQ(f.duplicates, c.duplicates);
+  EXPECT_EQ(f.delays, c.delays);
+  EXPECT_EQ(f.crashes, c.crashes);
+  EXPECT_EQ(f.retries, c.retries);
+  EXPECT_EQ(f.detections, c.detections);
+  EXPECT_EQ(f.recoveries, c.recoveries);
+  EXPECT_EQ(f.corruptions, c.corruptions);
+  EXPECT_EQ(f.rank_replays, c.rank_replays);
+  EXPECT_EQ(f.segments_refetched, c.refetches);
+  EXPECT_EQ(f.bytes_refetched, c.refetch_bytes);
+  EXPECT_EQ(f.retention_evictions, c.retention_evictions);
+}
+
+/// Rank 1's communication-event count on a fault-free run, halved: a crash
+/// point in the middle of the workflow.
+std::uint64_t mid_run_event(const std::string& content) {
+  mp::FaultInjector probe(mp::FaultPlan::parse("seed=1"));
+  mp::Runtime rt(3, mp::NetworkModel::zero());
+  rt.set_fault_injector(&probe);
+  run_sort_workflow(content, {}, &rt);
+  return std::max<std::uint64_t>(1, probe.event_count(1) / 2);
+}
+
+TEST(OneWriter, FaultedGovernedRunExportsEachReportFieldOnce) {
+  const fs::path dir = fresh_dir("papar_one_writer");
+  const std::string content = pairs_content(3000, 31);
+  const auto plain = run_sort_workflow(content, {});
+
+  core::EngineOptions opts;
+  opts.recovery.mode = mp::RecoveryMode::kLocal;
+  opts.mem_budget = 1 << 20;
+  opts.spill_dir = (dir / "spill").string();
+  mp::FaultInjector inj(mp::FaultPlan::parse(
+      "seed=7,drop=0.05,corrupt=0.05,crash=1@" +
+      std::to_string(mid_run_event(content))));
+  obs::Recorder recorder;
+  mp::Runtime rt(3, mp::NetworkModel::zero());
+  rt.set_fault_injector(&inj);
+  rt.set_recorder(&recorder);
+  const auto run = run_sort_workflow(content, opts, &rt);
+  rt.set_recorder(nullptr);
+  rt.set_fault_injector(nullptr);
+
+  EXPECT_EQ(run.partitions, plain.partitions);
+  const obs::StageReport& r = run.report;
+  EXPECT_EQ(r.faults.crashes, 1u);
+  EXPECT_GE(r.faults.rank_replays, 1u);
+  EXPECT_GT(r.faults.drops, 0u);
+  EXPECT_GT(r.faults.corruptions, 0u);
+  EXPECT_EQ(r.faults.retries, r.faults.drops + r.faults.corruptions);
+  EXPECT_GT(r.faults.checkpoint_saves, 0u);
+  EXPECT_EQ(r.memory.budget_bytes, 1u << 20);
+  EXPECT_GT(r.memory.high_water_bytes, 0u);
+  EXPECT_EQ(r.remote_bytes, run.stats.remote_bytes);
+  expect_faults_from_injector(r.faults, inj.counts());
+  expect_one_series_per_field(r, recorder, /*governed=*/true);
+  fs::remove_all(dir);
+}
+
+TEST(OneWriter, RetentionEvictionsAreCountedOnce) {
+  const std::string content = pairs_content(3000, 32);
+  const auto plain = run_sort_workflow(content, {});
+
+  // A 1-byte retention cap with an unwritable spool evicts the window at
+  // the first consumed segment of every stage.
+  core::EngineOptions opts;
+  opts.recovery.mode = mp::RecoveryMode::kLocal;
+  opts.recovery.retention_limit = 1;
+  opts.recovery.retention_spill_dir = "/dev/null/papar-retention";
+  mp::FaultInjector inj(mp::FaultPlan::parse(
+      "seed=3,crash=1@" + std::to_string(mid_run_event(content))));
+  obs::Recorder recorder;
+  mp::Runtime rt(3, mp::NetworkModel::zero());
+  rt.set_fault_injector(&inj);
+  rt.set_recorder(&recorder);
+  const auto run = run_sort_workflow(content, opts, &rt);
+  rt.set_recorder(nullptr);
+  rt.set_fault_injector(nullptr);
+
+  EXPECT_EQ(run.partitions, plain.partitions);
+  EXPECT_GT(inj.counts().retention_evictions, 0u);
+  EXPECT_EQ(run.report.faults.retention_evictions, inj.counts().retention_evictions);
+  EXPECT_EQ(recorder.counter("faults.retention_evictions"),
+            inj.counts().retention_evictions);
+  expect_faults_from_injector(run.report.faults, inj.counts());
+  expect_one_series_per_field(run.report, recorder, /*governed=*/false);
+}
+
+TEST(OneWriter, DetachedRecorderObservesNoHistogram) {
+  obs::Recorder recorder;
+  mp::Runtime rt(2, mp::NetworkModel::zero());
+  const auto ping = [](mp::Comm& comm) {
+    if (comm.rank() == 0) comm.send(1, 0, std::vector<unsigned char>(8, 1));
+    if (comm.rank() == 1) (void)comm.recv(0, 0);
+  };
+  rt.set_recorder(&recorder);
+  rt.run(ping);
+  obs::MetricsRegistry& m = recorder.metrics();
+  const char* names[] = {"mpsim_message_latency_seconds", "mpsim_payload_bytes",
+                         "mpsim_mailbox_depth"};
+  for (const char* name : names) EXPECT_EQ(m.histogram(name)->count(), 1u) << name;
+  EXPECT_EQ(recorder.counter("mpsim.bytes.p2p"), 8u);
+
+  rt.set_recorder(nullptr);
+  rt.run(ping);
+  for (const char* name : names) EXPECT_EQ(m.histogram(name)->count(), 1u) << name;
+  EXPECT_EQ(recorder.counter("mpsim.bytes.p2p"), 8u);
+}
+
+TEST(OneWriter, BenchmarkCounterNamesAreWrittenOnce) {
+  // Past the radix cutoff on both ranks, so each rank's one local sort
+  // takes radix.
+  const std::string content = pairs_content(30000, 33);
+  obs::Recorder recorder;
+  mp::Runtime rt(2, mp::NetworkModel::zero());
+  rt.set_recorder(&recorder);
+  const auto run = run_sort_workflow(content, {}, &rt);
+  rt.set_recorder(nullptr);
+
+  // The export did not add the sort section a second time.
+  EXPECT_EQ(recorder.counter("sort.engine_radix"), 2u);
+  EXPECT_EQ(recorder.counter("sort.engine_merge"), 0u);
+  EXPECT_EQ(recorder.counter("sort.records"), 30000u);
+  EXPECT_EQ(run.report.sort.engine_radix, 2u);
+  EXPECT_GT(recorder.counter("mr.shuffle.wire_bytes"), 0u);
 }
 
 // -- MetricsRegistry: histogram boundaries, gauges, Prometheus ---------------
@@ -558,15 +742,14 @@ TEST(MetricsRegistry, GaugeLabelsAreEscapedAndSeriesDistinct) {
 }
 
 TEST(MetricsRegistry, GaugeTimelineRendersAsChromeCounterEvents) {
-  obs::MetricsRegistry metrics;
-  obs::Gauge* g = metrics.gauge("queue_depth", {{"rank", "2"}});
+  obs::Recorder recorder;
+  obs::Gauge* g = recorder.metrics().gauge("queue_depth", {{"rank", "2"}});
   g->set(1.0, 0.5);
   g->set(4.0, 1.5);
 
   obs::TraceRecorder tracer;
   tracer.bind(1);
-  const std::string doc =
-      obs::to_chrome_trace(tracer.snapshot(), nullptr, nullptr, &metrics);
+  const std::string doc = obs::to_chrome_trace(tracer.snapshot(), &recorder, nullptr);
   EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(doc.find("queue_depth.rank:2"), std::string::npos);
 }

@@ -324,7 +324,7 @@ TEST_F(TracedRun, LinkMatrixMatchesRuntimeCounters) {
 }
 
 TEST_F(TracedRun, ChromeTraceSchema) {
-  const std::string text = to_chrome_trace(*trace_, nullptr, &result_->report, nullptr);
+  const std::string text = to_chrome_trace(*trace_, nullptr, &result_->report);
   const json::Value doc = json::parse(text);
   const json::Value& events = doc.at("traceEvents");
   ASSERT_EQ(events.kind, json::Value::Kind::kArray);

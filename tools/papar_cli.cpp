@@ -33,9 +33,10 @@
 // file loadable in chrome://tracing or Perfetto — messages render as flow
 // arrows between rank tracks — with the full event graph, stage report, and
 // metrics summary embedded under the "papar" key for `papar_trace`.
-// --metrics writes the counter/histogram registry (message latency, payload
-// size, mailbox depth, retransmits, plus run counters) in Prometheus text
-// exposition format.
+// --metrics writes the recorder's registry (message latency, payload size
+// and mailbox depth histograms, traffic and sort counters, and the run's
+// stage report under its JSON key paths; README lists every name) in
+// Prometheus text exposition format.
 //
 // --faults enables deterministic fault injection (see DESIGN.md §10): the
 // value is either an inline spec like "drop=0.05,dup=0.01,crash=1@40" or a
@@ -67,7 +68,7 @@
 // phases spill to disk (--spill-dir, default under the system temp dir) and
 // mailboxes run under credit-based flow control; runs that truly cannot fit
 // fail with a typed BudgetExceededError, never an OOM kill or a hang. The
-// papar_mem_* series in --metrics reports spill volume, watermark
+// papar_memory_* series in --metrics reports spill volume, watermark
 // crossings, and backpressure stalls.
 #include <cstdint>
 #include <cstdio>
@@ -83,7 +84,6 @@
 #include "core/engine.hpp"
 #include "mpsim/fault.hpp"
 #include "obs/critpath.hpp"
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -283,15 +283,13 @@ int run(int argc, char** argv) {
   mp::Runtime runtime(opt.nodes, mp::NetworkModel::rdma(), opt.engine.scheduler);
   obs::Recorder recorder;
   obs::TraceRecorder tracer;
-  obs::MetricsRegistry metrics;
   // Any observability request wants the full causal picture: the event
-  // graph feeds --stats' analyses and the --trace artifact; the registry
-  // feeds --metrics and the trace's embedded summary.
+  // graph feeds --stats' analyses and the --trace artifact; the recorder's
+  // registry feeds --metrics and the trace's embedded summary.
   const bool observing = !opt.trace_path.empty() || !opt.metrics_path.empty() || opt.stats;
   if (observing) {
     runtime.set_recorder(&recorder);
     runtime.set_tracer(&tracer);
-    runtime.set_metrics(&metrics);
   }
   std::optional<mp::FaultInjector> injector;
   if (!opt.faults.empty()) {
@@ -304,14 +302,7 @@ int run(int argc, char** argv) {
   const auto result = engine.run(runtime, contents);
   runtime.set_recorder(nullptr);
   runtime.set_tracer(nullptr);
-  runtime.set_metrics(nullptr);
   runtime.set_fault_injector(nullptr);
-  // Fold the run's span-recorder counters (traffic per collective kind,
-  // fault/checkpoint tallies) into the registry so one artifact carries
-  // everything.
-  if (observing) {
-    for (const auto& [name, value] : recorder.counters()) metrics.inc(name, value);
-  }
 
   // Write partitions next to the resolved output path.
   const std::string out_base = engine.resolve("$output_path");
@@ -361,14 +352,14 @@ int run(int argc, char** argv) {
   }
   if (!opt.trace_path.empty()) {
     const obs::TraceData graph = tracer.snapshot();
-    obs::write_chrome_trace(opt.trace_path, graph, &recorder, &result.report, &metrics);
+    obs::write_chrome_trace(opt.trace_path, graph, &recorder, &result.report);
     std::fprintf(stderr, "papar: wrote %zu trace events + %zu spans to %s\n",
                  graph.event_count(), recorder.span_count(), opt.trace_path.c_str());
   }
   if (!opt.metrics_path.empty()) {
     std::ofstream out(opt.metrics_path, std::ios::binary | std::ios::trunc);
     if (!out) throw DataError("cannot open metrics file " + opt.metrics_path);
-    const std::string body = metrics.to_prometheus();
+    const std::string body = recorder.metrics().to_prometheus();
     out.write(body.data(), static_cast<std::streamsize>(body.size()));
     if (!out) throw DataError("metrics write failed: " + opt.metrics_path);
     std::fprintf(stderr, "papar: wrote metrics to %s\n", opt.metrics_path.c_str());

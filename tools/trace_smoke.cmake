@@ -5,7 +5,9 @@
 # message arrows and the embedded "papar" analysis section, (2) --metrics
 # writes Prometheus text exposition, (3) papar_trace prints the critical
 # path and skew table from a single trace and the regression diff from two,
-# and (4) stdout of the papar CLI stays empty so pipes never see log noise.
+# (4) stdout of the papar CLI stays empty so pipes never see log noise, and
+# (5) on a faulted run each fault quantity printed by --stats equals its one
+# --metrics series, and every exported family has a row in README's table.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
@@ -118,6 +120,67 @@ foreach(run a b)
     message(FATAL_ERROR "papar hybrid run ${run} failed (${rc}): ${err}")
   endif()
   check_artifacts("${WORK_DIR}/hybrid_${run}.json" "${WORK_DIR}/hybrid_${run}.prom" "${out}")
+endforeach()
+
+# -- One name per quantity: --stats and --metrics agree ----------------------
+
+# A faulted, governed run: drops, corruptions, a locally replayed crash with
+# re-fetches, and checkpoints. Each fault quantity is counted by one owner,
+# printed by --stats under its report key and exported once.
+execute_process(
+  COMMAND "${PAPAR_CLI}"
+          --input-config "${CONFIG_DIR}/graph_edge.xml"
+          --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+          --arg input_file=edges.txt
+          --arg output_path=${WORK_DIR}/parts-faulted/graph
+          --arg num_partitions=4
+          --arg threshold=15
+          --file edges.txt=${WORK_DIR}/edges.txt
+          --nodes 4 --stats --metrics "${WORK_DIR}/faulted.prom"
+          --mem-budget 1m
+          --faults "drop=0.05,corrupt=0.05,crash=1@20" --fault-seed 7
+          --recovery local
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "papar faulted run failed (${rc}): ${err}")
+endif()
+file(READ "${WORK_DIR}/faulted.prom" prom)
+foreach(key drops retries corruptions rank_replays segments_refetched checkpoint_saves)
+  if(NOT err MATCHES "\nfaults:[^\n]* ${key}=([0-9]+)")
+    message(FATAL_ERROR "--stats printed no faults ${key}: ${err}")
+  endif()
+  set(stat "${CMAKE_MATCH_1}")
+  string(REGEX MATCHALL "\npapar_faults_${key}_total [0-9]+" series "\n${prom}")
+  list(LENGTH series n)
+  if(NOT n EQUAL 1)
+    message(FATAL_ERROR "--metrics has ${n} papar_faults_${key}_total series, want 1")
+  endif()
+  string(REGEX MATCH "[0-9]+$" exported "${series}")
+  if(NOT exported EQUAL stat)
+    message(FATAL_ERROR "${key}: --stats says ${stat}, --metrics says ${exported}")
+  endif()
+endforeach()
+
+# Every exported family has one row in README's metric table, and none of
+# the families the stage-report export replaced comes back.
+file(READ "${README}" readme)
+string(REGEX MATCHALL "# TYPE papar_[a-zA-Z0-9_]+" families "${prom}")
+list(LENGTH families nfamilies)
+if(nfamilies EQUAL 0)
+  message(FATAL_ERROR "faulted.prom declares no papar_ families")
+endif()
+foreach(family IN LISTS families)
+  string(REPLACE "# TYPE " "" family "${family}")
+  if(family MATCHES "^papar_(fault|ckpt|mem)_" OR
+     family MATCHES "^papar_mpsim_(retransmits|remote_)" OR
+     (family MATCHES "^papar_recovery_" AND
+      NOT family STREQUAL "papar_recovery_retention_spill_bytes_total"))
+    message(FATAL_ERROR "--metrics still exports the retired family ${family}")
+  endif()
+  string(FIND "${readme}" "`${family}`" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "README's metric table has no row for ${family}")
+  endif()
 endforeach()
 
 # -- papar_trace over the artifacts ------------------------------------------
