@@ -746,6 +746,11 @@ PartitionResult WorkflowEngine::run(
         options_.flight_rec_dir, kind, e.what(), sampler.get());
     if (!path.empty()) log::info("flight recorder: wrote ", path);
   };
+  // A reused injector keeps counting across runs; the report shows this
+  // run's share, like the checkpoint fields beside it.
+  const mp::FaultCounts faults_before =
+      runtime.fault_injector() != nullptr ? runtime.fault_injector()->counts()
+                                          : mp::FaultCounts{};
   try {
     result.stats = runtime.run(body);
   } catch (const mp::DeadlockError& e) {
@@ -787,7 +792,7 @@ PartitionResult WorkflowEngine::run(
   result.report.remote_bytes = result.stats.remote_bytes;
   result.report.remote_messages = result.stats.remote_messages;
   if (const auto* inj = runtime.fault_injector()) {
-    const mp::FaultCounts fc = inj->counts();
+    const mp::FaultCounts fc = inj->counts().since(faults_before);
     result.report.faults.drops = fc.drops;
     result.report.faults.duplicates = fc.duplicates;
     result.report.faults.delays = fc.delays;

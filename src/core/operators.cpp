@@ -68,6 +68,23 @@ std::vector<std::size_t> projection_fields(const schema::Schema& in,
   return fields;
 }
 
+/// True when `fields` (from projection_fields) is 0, 1, ..., k-1: a
+/// projected record is then its wire record's first k fields, a prefix.
+bool is_prefix_projection(const std::vector<std::size_t>& fields) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (fields[i] != i) return false;
+  }
+  return true;
+}
+
+/// Byte length of the first `k` fields of a wire record of `schema`.
+std::size_t prefix_bytes(const schema::Schema& schema, std::string_view wire,
+                         std::size_t k) {
+  if (k == 0) return 0;
+  const auto [off, len] = field_range(schema, wire, k - 1);
+  return off + len;
+}
+
 /// Projects a wire record of `in` onto the fields listed by
 /// projection_fields(), appending into `projected` (cleared first). Used by
 /// the final distribute to drop add-on attributes without per-record
@@ -225,22 +242,25 @@ void group_op(mp::Comm& comm, Dataset& ds, const GroupArgs& args) {
   mr::MapReduce mr(comm);
   mr.mutable_local() = std::move(ds.page);
 
-  // Re-key by the raw bytes of the group field, then co-locate equal keys.
+  // Co-locate equal keys: records travel as they are, routed by the hash of
+  // their group field's raw bytes, and reduce() groups by those bytes.
   const schema::Schema in_schema = ds.schema;
-  mr.map_kv([&in_schema, key_field](std::string_view, std::string_view value,
-                                    mr::KvEmitter& emit) {
+  const auto key_of = [&in_schema, key_field](std::string_view value) {
     const auto [off, len] = field_range(in_schema, value, key_field);
-    emit.emit(value.substr(off, len), value);
+    return value.substr(off, len);
+  };
+  mr.aggregate([&key_of, p = static_cast<std::uint64_t>(comm.size())](
+                   std::string_view, std::string_view value) {
+    return static_cast<int>(key_hash(key_of(value)) % p);
   });
-  mr.aggregate();
 
   const bool packed_out = args.output_format == DataFormat::kPacked;
   const AddOnSpec addon = args.addon.value_or(AddOnSpec{});
   const bool has_addon = args.addon.has_value();
   const bool compress = args.compress;
   std::string rec;  // unpacked-output scratch, reused across groups
-  mr.reduce([&](std::string_view key, std::span<const std::string_view> values,
-                mr::KvEmitter& emit) {
+  const auto fold_group = [&](std::string_view key, std::span<const std::string_view> values,
+                              mr::KvEmitter& emit) {
     // Apply the add-on over the group.
     std::int64_t acc_i = 0;
     double acc_d = 0.0;
@@ -313,7 +333,8 @@ void group_op(mp::Comm& comm, Dataset& ds, const GroupArgs& args) {
         emit.emit(key, rec);
       }
     }
-  });
+  };
+  mr.reduce([&key_of](const mr::KvPair& kv) { return key_of(kv.value); }, fold_group);
   // reduce() emits groups in ascending key-byte order: the page is already
   // in its deterministic local order.
 
@@ -442,6 +463,10 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
     const std::vector<std::size_t> projection =
         needs_projection ? projection_fields(ds.schema, out_schema)
                          : std::vector<std::size_t>{};
+    // Output fields that are the input's first k in order (hybrid-cut drops
+    // only its trailing add-on) make every projected record a prefix of its
+    // wire record, so none is rebuilt.
+    const bool prefix_projection = needs_projection && is_prefix_projection(projection);
 
     // Global entry/record offsets for this rank via allgather. The paper
     // applies the permutation matrix to the (logically global) data vector;
@@ -514,7 +539,9 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
       std::uint64_t member = 0;
       auto emit_record = [&](std::string_view rec) {
         std::string_view out_rec = rec;
-        if (needs_projection) {
+        if (prefix_projection) {
+          out_rec = rec.substr(0, prefix_bytes(ds.schema, rec, projection.size()));
+        } else if (needs_projection) {
           project_record_into(ds.schema, projection, rec, projected, ranges);
           out_rec = projected;
         }

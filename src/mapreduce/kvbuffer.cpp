@@ -43,20 +43,6 @@ void KvBuffer::append_page(const unsigned char* data, std::size_t n) {
   count_ += added;
 }
 
-KvPair KvBuffer::at(std::size_t off, std::size_t* next) const {
-  PAPAR_CHECK_MSG(off + kHeader <= bytes_.size(), "KV offset out of range");
-  const std::uint32_t klen = read_u32(bytes_.data() + off);
-  const std::uint32_t vlen = read_u32(bytes_.data() + off + sizeof(std::uint32_t));
-  const std::size_t kbegin = off + kHeader;
-  PAPAR_CHECK_MSG(kbegin + klen + vlen <= bytes_.size(), "KV record out of range");
-  KvPair kv;
-  kv.key = std::string_view(reinterpret_cast<const char*>(bytes_.data() + kbegin), klen);
-  kv.value = std::string_view(
-      reinterpret_cast<const char*>(bytes_.data() + kbegin + klen), vlen);
-  if (next != nullptr) *next = kbegin + klen + vlen;
-  return kv;
-}
-
 std::vector<std::size_t> KvBuffer::offsets() const {
   std::vector<std::size_t> out;
   out.reserve(count_);

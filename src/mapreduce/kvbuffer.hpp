@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -52,7 +53,19 @@ class KvBuffer {
 
   /// Record located at byte offset `off`; also returns the offset of the
   /// next record via `next`.
-  KvPair at(std::size_t off, std::size_t* next = nullptr) const;
+  KvPair at(std::size_t off, std::size_t* next = nullptr) const {
+    constexpr std::size_t kHeader = 2 * sizeof(std::uint32_t);
+    PAPAR_CHECK_MSG(off + kHeader <= bytes_.size(), "KV offset out of range");
+    std::uint32_t klen;
+    std::uint32_t vlen;
+    std::memcpy(&klen, bytes_.data() + off, sizeof(klen));
+    std::memcpy(&vlen, bytes_.data() + off + sizeof(klen), sizeof(vlen));
+    const std::size_t kbegin = off + kHeader;
+    PAPAR_CHECK_MSG(kbegin + klen + vlen <= bytes_.size(), "KV record out of range");
+    const auto* base = reinterpret_cast<const char*>(bytes_.data()) + kbegin;
+    if (next != nullptr) *next = kbegin + klen + vlen;
+    return KvPair{std::string_view(base, klen), std::string_view(base + klen, vlen)};
+  }
 
   /// Byte offsets of all records, in page order. O(count).
   std::vector<std::size_t> offsets() const;

@@ -56,13 +56,23 @@ std::uint64_t be_bytes(std::string_view s, std::size_t from, std::size_t width) 
   return x;
 }
 
+/// reduce()'s fixed-width key: bytes 0-7 of the group key, then bytes 8-14
+/// above the key's length capped at 16. Big-endian and zero-padded, it
+/// never contradicts byte order, and a key shorter than 16 bytes is the
+/// only key with its SortKey.
+SortKey group_sort_key(std::string_view key) {
+  return SortKey{be_bytes(key, 0, 8),
+                 (be_bytes(key, 8, 7) << 8) | std::min<std::size_t>(key.size(), 16)};
+}
+
+/// True when a group SortKey belongs to exactly one key.
+bool group_key_exact(const SortKey& k) { return (k.minor & 0xFF) < 16; }
+
 /// Byte order of two records with equal SortKeys under `tie`.
 bool tie_less(TieBreak tie, const KvPair& a, const KvPair& b) {
   switch (tie) {
     case TieBreak::kNone:
       return false;
-    case TieBreak::kKey:
-      return a.key < b.key;
     case TieBreak::kValue:
       return a.value < b.value;
     case TieBreak::kKeyValue: {
@@ -366,17 +376,29 @@ void MapReduce::aggregate(const PartitionFn& part) {
 }
 
 void MapReduce::reduce(const ReduceFn& fn) {
+  reduce([](const KvPair& kv) { return kv.key; }, fn);
+}
+
+void MapReduce::reduce(const GroupKeyFn& group_key, const ReduceFn& fn) {
   PhaseSpan span(comm_, "mr.reduce");
-  // Stable order of record offsets by key bytes, so equal keys are adjacent
-  // and values keep their page order within each group. The fixed-width key
-  // is the key's bytes 0-7 and 8-15, big-endian and zero-padded: only keys
-  // longer than 16 bytes, or keys that differ only in trailing NULs, need
-  // the byte tie-break.
+  // Stable order of record offsets by group-key bytes, so equal keys are
+  // adjacent and values keep their page order within each group. Only keys
+  // of 16 bytes or more can share a SortKey with another key, so only they
+  // are compared byte by byte, in the sort and in the group cut.
+  const SortKeyFn sort_key = [&group_key](const KvPair& kv) {
+    return group_sort_key(group_key(kv));
+  };
+  std::vector<SortKey> keys;
   const auto offs = sorted_offsets(
-      [](const KvPair& kv) {
-        return SortKey{be_bytes(kv.key, 0, 8), be_bytes(kv.key, 8, 8)};
+      sort_key,
+      [&](const SortKey& k, std::size_t a, std::size_t b) {
+        return !group_key_exact(k) && group_key(page_.at(a)) < group_key(page_.at(b));
       },
-      TieBreak::kKey);
+      &keys);
+  BudgetScope key_column(budget_, comm_->rank(), keys.size() * sizeof(SortKey));
+  const auto key_at = [&](std::size_t i) {
+    return keys.empty() ? sort_key(page_.at(offs[i])) : keys[i];
+  };
 
   const bool spooled = spill_ready(budget_);
   RewriteSpool spool(spooled ? make_spill_config(budget_, comm_->rank())
@@ -386,17 +408,20 @@ void MapReduce::reduce(const ReduceFn& fn) {
   std::vector<std::string_view> values;
   std::size_t i = 0;
   while (i < offs.size()) {
-    const auto head = page_.at(offs[i]);
+    const KvPair head = page_.at(offs[i]);
+    const std::string_view head_key = group_key(head);
+    const SortKey hk = key_at(i);
     values.clear();
     values.push_back(head.value);
     std::size_t j = i + 1;
-    while (j < offs.size()) {
-      const auto kv = page_.at(offs[j]);
-      if (kv.key != head.key) break;
+    for (; j < offs.size(); ++j) {
+      const SortKey k = key_at(j);
+      if (k.major != hk.major || k.minor != hk.minor) break;
+      const KvPair kv = page_.at(offs[j]);
+      if (!group_key_exact(hk) && group_key(kv) != head_key) break;
       values.push_back(kv.value);
-      ++j;
     }
-    fn(head.key, std::span<const std::string_view>(values.data(), values.size()), emitter);
+    fn(head_key, std::span<const std::string_view>(values.data(), values.size()), emitter);
     if (spooled) spool.maybe_flush();
     i = j;
   }
@@ -441,12 +466,18 @@ void MapReduce::sort_by_key(const SortKeyFn& key, TieBreak tie) {
     return;
   }
   // The key column is freed inside sorted_offsets, before the page copy.
-  const auto order = sorted_offsets(key, tie);
+  const auto order = sorted_offsets(
+      key, tie == TieBreak::kNone
+               ? TieFn()
+               : [this, tie](const SortKey&, std::size_t a, std::size_t b) {
+                   return tie_less(tie, page_.at(a), page_.at(b));
+                 });
   BudgetScope copy(budget_, comm_->rank(), page_.byte_size());
   page_.reorder(order);
 }
 
-std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, TieBreak tie) {
+std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, const TieFn& tie,
+                                                   std::vector<SortKey>* keys) {
   const std::size_t n = page_.count();
   const bool want_radix = n >= sortlib::kRadixAutoCutoff;
   struct Entry {
@@ -462,18 +493,23 @@ std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, TieBrea
       rec->add_counter("sort.records", n);
       rec->add_counter("sort.engine_merge", 1);
     }
-    const auto less = key_less(key, tie);
     std::stable_sort(offs.begin(), offs.end(), [&](std::size_t a, std::size_t b) {
-      return less(page_.at(a), page_.at(b));
+      const SortKey ka = key(page_.at(a));
+      const SortKey kb = key(page_.at(b));
+      if (ka.major != kb.major) return ka.major < kb.major;
+      if (ka.minor != kb.minor) return ka.minor < kb.minor;
+      return tie != nullptr && tie(ka, a, b);
     });
     return offs;
   }
 
   // Radix path: one contiguous {key, offset} column, sorted stably by minor
   // and then by major in O(passes * n) — an LSD sort over the composite
-  // key, with trivial byte passes skipped. Stability keeps equal keys in
-  // page order, the same permutation the stable comparator sort produces;
-  // the tie-break then stable-sorts only the equal-key runs by bytes.
+  // key, with trivial byte passes skipped, and the minor sort skipped when
+  // the column is already in minor order (distribute's ascending stamps).
+  // Stability keeps equal keys in page order, the same permutation the
+  // stable comparator sort produces; the tie-break then stable-sorts only
+  // the equal-key runs by bytes.
   sortlib::RadixStats minor_stats;
   sortlib::RadixStats major_stats;
   {
@@ -483,16 +519,22 @@ std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, TieBrea
     for (const std::size_t off : offs) entries.push_back(Entry{key(page_.at(off)), off});
     {
       std::vector<Entry> scratch(n);
-      sortlib::lsd_radix_sort_seq(
-          std::span<Entry>(entries), std::span<Entry>(scratch),
-          [](const Entry& e) { return e.key.minor; }, &minor_stats);
+      if (std::is_sorted(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+            return a.key.minor < b.key.minor;
+          })) {
+        minor_stats.skipped_passes = sizeof(std::uint64_t);
+      } else {
+        sortlib::lsd_radix_sort_seq(
+            std::span<Entry>(entries), std::span<Entry>(scratch),
+            [](const Entry& e) { return e.key.minor; }, &minor_stats);
+      }
       sortlib::lsd_radix_sort_seq(
           std::span<Entry>(entries), std::span<Entry>(scratch),
           [](const Entry& e) { return e.key.major; }, &major_stats);
     }
-    if (tie != TieBreak::kNone) {
+    if (tie != nullptr) {
       const auto entry_less = [&](const Entry& a, const Entry& b) {
-        return tie_less(tie, page_.at(a.off), page_.at(b.off));
+        return tie(a.key, a.off, b.off);
       };
       std::size_t i = 0;
       while (i < n) {
@@ -510,6 +552,10 @@ std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, TieBrea
       }
     }
     for (std::size_t i = 0; i < n; ++i) offs[i] = entries[i].off;
+    if (keys != nullptr) {
+      keys->resize(n);
+      for (std::size_t i = 0; i < n; ++i) (*keys)[i] = entries[i].key;
+    }
   }
   if (obs::Recorder* rec = comm_->recorder()) {
     rec->add_counter("sort.records", n);

@@ -47,10 +47,10 @@ struct SortKey {
 };
 
 /// How MapReduce::sort_by_key orders records whose SortKeys are equal:
-/// stably by raw key bytes, value bytes, or key then value bytes — or not
-/// at all (page order). Every choice keeps exactly equal records in page
-/// order, so the sort is stable under its full order.
-enum class TieBreak { kNone, kKey, kValue, kKeyValue };
+/// stably by raw value bytes, or key then value bytes — or not at all
+/// (page order). Every choice keeps exactly equal records in page order,
+/// so the sort is stable under its full order.
+enum class TieBreak { kNone, kValue, kKeyValue };
 
 class MapReduce {
  public:
@@ -63,6 +63,9 @@ class MapReduce {
   using KeyProjection = std::function<std::uint64_t(std::string_view key, std::string_view value)>;
   /// Projects a record onto its fixed-width local sort key.
   using SortKeyFn = std::function<SortKey(const KvPair&)>;
+  /// Projects a record onto the bytes reduce() groups it by (a view into
+  /// the record's key or value).
+  using GroupKeyFn = std::function<std::string_view(const KvPair&)>;
 
   /// Binds to the communicator and inherits its runtime's memory budget
   /// (if one is attached): with a budget, the shuffle streams bounded
@@ -94,9 +97,16 @@ class MapReduce {
 
   // -- Group / fold --------------------------------------------------------
 
-  /// Groups local records by exact key bytes (stable: values keep page
-  /// order) and calls `fn` once per group, in ascending key-byte order;
-  /// emitted records replace the page. This is MR-MPI's convert+reduce.
+  /// Groups local records by the exact bytes `group_key` projects (stable:
+  /// values keep page order) and calls `fn` once per group, in ascending
+  /// key-byte order, with the group's key bytes; emitted records replace
+  /// the page. This is MR-MPI's convert+reduce, with no copy of the records
+  /// under their group key. The local sort's fixed-width key holds the
+  /// group key's first 15 bytes and its length, so keys shorter than 16
+  /// bytes are ordered and cut into groups without comparing their bytes.
+  void reduce(const GroupKeyFn& group_key, const ReduceFn& fn);
+
+  /// reduce() grouped by each record's own key.
   void reduce(const ReduceFn& fn);
 
   /// MR-MPI's `compress`: a purely local convert+reduce used as a combiner
@@ -167,10 +177,18 @@ class MapReduce {
   /// payload bytes (they size the segments and the tracked charge).
   void shuffle_segmented(const std::vector<std::size_t>& dest_bytes);
 
+  /// Orders two records, given by page offset, whose SortKeys both equal
+  /// `key`; returns false when `key` alone decides.
+  using TieFn = std::function<bool(const SortKey& key, std::size_t a, std::size_t b)>;
+
   /// sort_by_key's order without moving records: the page's record offsets
-  /// in sorted order. The radix column is charged to the budget; when it
-  /// would cross the soft watermark the comparator path runs instead.
-  std::vector<std::size_t> sorted_offsets(const SortKeyFn& key, TieBreak tie);
+  /// in sorted order (a null `tie` keeps equal keys in page order). The
+  /// radix column is charged to the budget; when it would cross the soft
+  /// watermark the comparator path runs instead. With `keys`, the radix
+  /// path also returns the SortKeys in sorted order (the comparator path
+  /// leaves it empty).
+  std::vector<std::size_t> sorted_offsets(const SortKeyFn& key, const TieFn& tie,
+                                          std::vector<SortKey>* keys = nullptr);
 
   mp::Comm* comm_;
   MemoryBudget* budget_ = nullptr;

@@ -242,6 +242,22 @@ struct FaultCounts {
   std::uint64_t total_injected() const {
     return drops + duplicates + delays + corruptions + crashes;
   }
+  /// The counts accumulated since `before`, an earlier counts() of the
+  /// same injector.
+  FaultCounts since(const FaultCounts& before) const {
+    return FaultCounts{drops - before.drops,
+                       duplicates - before.duplicates,
+                       delays - before.delays,
+                       corruptions - before.corruptions,
+                       crashes - before.crashes,
+                       retries - before.retries,
+                       detections - before.detections,
+                       recoveries - before.recoveries,
+                       rank_replays - before.rank_replays,
+                       refetches - before.refetches,
+                       refetch_bytes - before.refetch_bytes,
+                       retention_evictions - before.retention_evictions};
+  }
 };
 
 /// Executes a FaultPlan. Attach to a Runtime with set_fault_injector; the

@@ -1,5 +1,6 @@
 #include "schema/input_format.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <fstream>
@@ -43,40 +44,44 @@ class BinaryRecordReader : public RecordReader {
 
 // -- Text reader --------------------------------------------------------------
 
+/// One numeric token of `field`; `type_name` names T in the DataError.
+template <typename T>
+T parse_number_token(const Field& field, std::string_view token, const char* type_name) {
+  T v{};
+  auto [p, ec] = std::from_chars(token.begin(), token.end(), v);
+  if (ec != std::errc() || p != token.end()) {
+    throw DataError(std::string("bad ") + type_name + " token `" + std::string(token) +
+                    "` for field `" + field.name + "`");
+  }
+  return v;
+}
+
 Value parse_text_value(const Field& field, std::string_view token) {
   switch (field.type) {
-    case FieldType::kString:
-      return std::string(token);
-    case FieldType::kInt32: {
-      std::int32_t v = 0;
-      auto [p, ec] = std::from_chars(token.begin(), token.end(), v);
-      if (ec != std::errc() || p != token.end()) {
-        throw DataError("bad int32 token `" + std::string(token) + "` for field `" +
-                        field.name + "`");
-      }
-      return v;
-    }
-    case FieldType::kInt64: {
-      std::int64_t v = 0;
-      auto [p, ec] = std::from_chars(token.begin(), token.end(), v);
-      if (ec != std::errc() || p != token.end()) {
-        throw DataError("bad int64 token `" + std::string(token) + "` for field `" +
-                        field.name + "`");
-      }
-      return v;
-    }
-    case FieldType::kFloat64: {
-      // std::from_chars<double> is available in libstdc++ 11+.
-      double v = 0;
-      auto [p, ec] = std::from_chars(token.begin(), token.end(), v);
-      if (ec != std::errc() || p != token.end()) {
-        throw DataError("bad double token `" + std::string(token) + "` for field `" +
-                        field.name + "`");
-      }
-      return v;
-    }
+    case FieldType::kString: return std::string(token);
+    case FieldType::kInt32: return parse_number_token<std::int32_t>(field, token, "int32");
+    case FieldType::kInt64: return parse_number_token<std::int64_t>(field, token, "int64");
+    case FieldType::kFloat64: return parse_number_token<double>(field, token, "double");
   }
   throw InternalError("corrupt FieldType");
+}
+
+/// The token of `field` starting at `pos`; advances `pos` past the field's
+/// delimiter, or throws DataError when the delimiter never comes.
+std::string_view next_token(std::string_view content, std::size_t& pos, const Field& field) {
+  const std::string& delim = field.delimiter;
+  const auto at = delim.size() == 1 ? content.find(delim[0], pos) : content.find(delim, pos);
+  if (at == std::string_view::npos) {
+    throw DataError("unterminated field `" + field.name + "` in text input");
+  }
+  const std::string_view token = content.substr(pos, at - pos);
+  pos = at + delim.size();
+  return token;
+}
+
+template <typename T>
+void append_pod(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 class TextRecordReader : public RecordReader {
@@ -90,16 +95,8 @@ class TextRecordReader : public RecordReader {
     if (pos_ >= end_ || pos_ >= content_.size()) return false;
     std::vector<Value> values;
     values.reserve(schema_->field_count());
-    for (std::size_t i = 0; i < schema_->field_count(); ++i) {
-      const Field& field = schema_->field(i);
-      PAPAR_CHECK_MSG(!field.delimiter.empty(),
-                      "text schema field lacks a delimiter");
-      const auto at = content_.find(field.delimiter, pos_);
-      if (at == std::string_view::npos) {
-        throw DataError("unterminated field `" + field.name + "` in text input");
-      }
-      values.push_back(parse_text_value(field, content_.substr(pos_, at - pos_)));
-      pos_ = at + field.delimiter.size();
+    for (const Field& field : schema_->fields()) {
+      values.push_back(parse_text_value(field, next_token(content_, pos_, field)));
     }
     out = Record(std::move(values));
     return true;
@@ -113,18 +110,6 @@ class TextRecordReader : public RecordReader {
 };
 
 }  // namespace
-
-void InputFormat::for_each_wire(
-    const FileSplit& split, const std::function<void(std::string_view)>& fn) const {
-  auto rec_reader = reader(split);
-  Record rec;
-  ByteWriter w;
-  while (rec_reader->next(rec)) {
-    w.clear();
-    rec.encode(schema_, w);
-    fn(std::string_view(reinterpret_cast<const char*>(w.data()), w.size()));
-  }
-}
 
 // -- BinaryFixedInput ---------------------------------------------------------
 
@@ -244,6 +229,36 @@ std::vector<FileSplit> TextDelimitedInput::splits(int nsplits) const {
 
 std::unique_ptr<RecordReader> TextDelimitedInput::reader(const FileSplit& split) const {
   return std::make_unique<TextRecordReader>(schema_, content_, split.begin, split.end);
+}
+
+void TextDelimitedInput::for_each_wire(
+    const FileSplit& split, const std::function<void(std::string_view)>& fn) const {
+  // The reader's records and errors, encoded straight from the tokens.
+  const std::string_view content = content_;
+  const std::size_t end = std::min(split.end, content.size());
+  std::string wire;
+  for (std::size_t pos = split.begin; pos < end;) {
+    wire.clear();
+    for (const Field& field : schema_.fields()) {
+      const std::string_view token = next_token(content, pos, field);
+      switch (field.type) {
+        case FieldType::kString:
+          append_pod(wire, static_cast<std::uint32_t>(token.size()));
+          wire.append(token);
+          break;
+        case FieldType::kInt32:
+          append_pod(wire, parse_number_token<std::int32_t>(field, token, "int32"));
+          break;
+        case FieldType::kInt64:
+          append_pod(wire, parse_number_token<std::int64_t>(field, token, "int64"));
+          break;
+        case FieldType::kFloat64:
+          append_pod(wire, parse_number_token<double>(field, token, "double"));
+          break;
+      }
+    }
+    fn(wire);
+  }
 }
 
 // -- Writers ------------------------------------------------------------------

@@ -50,11 +50,12 @@ class InputFormat {
   virtual std::unique_ptr<RecordReader> reader(const FileSplit& split) const = 0;
 
   /// Streams each record of the split in its *wire* encoding (the byte form
-  /// records take inside the engine; see record.hpp). The default decodes
-  /// and re-encodes through Record; fixed-width binary inputs override it
-  /// with zero-copy slices of the file content.
+  /// records take inside the engine; see record.hpp): the records reader()
+  /// yields, encoded, with the same errors, and no Record built. Fixed-width
+  /// binary inputs hand out zero-copy slices of the file content; text
+  /// inputs encode each line from its tokens.
   virtual void for_each_wire(const FileSplit& split,
-                             const std::function<void(std::string_view)>& fn) const;
+                             const std::function<void(std::string_view)>& fn) const = 0;
 
  protected:
   explicit InputFormat(Schema schema) : schema_(std::move(schema)) {}
@@ -95,6 +96,8 @@ class TextDelimitedInput : public InputFormat {
   std::size_t record_count() const override;
   std::vector<FileSplit> splits(int nsplits) const override;
   std::unique_ptr<RecordReader> reader(const FileSplit& split) const override;
+  void for_each_wire(const FileSplit& split,
+                     const std::function<void(std::string_view)>& fn) const override;
 
  private:
   std::string content_;

@@ -21,8 +21,9 @@
 //
 // Algorithm: one up-front scan histograms every digit position (digit
 // counts are permutation-invariant, so a pass whose 256 counts collapse
-// onto a single digit can be skipped before any data moves). Each active
-// pass counts per-chunk digit occurrences, prefix-sums (digit, chunk) in
+// onto a single digit can be skipped before any data moves, and a
+// one-chunk sort never recounts). Each later active pass of a chunked
+// sort counts per-chunk digit occurrences, prefix-sums (digit, chunk) in
 // digit-major order so the scatter is stable with chunks laid out in input
 // order, and scatters src -> dst in parallel. Passes ping-pong data <->
 // scratch; an odd number of active passes ends in scratch and costs one
@@ -227,8 +228,10 @@ void lsd_radix_sort_impl(std::span<T> data, std::span<T> scratch, KeyFn key_of,
   for (std::size_t p = 0; p < kPasses; ++p) {
     if (!active[p]) continue;
     const std::size_t shift = 8 * p;
-    if (first_active) {
-      // The up-front per-chunk histogram still describes `src` exactly.
+    if (first_active || chunks == 1) {
+      // The up-front per-chunk histogram still describes `src` exactly:
+      // before the first scatter nothing has moved, and one chunk's digit
+      // counts do not depend on element order.
       for (std::size_t c = 0; c < chunks; ++c) {
         const std::uint64_t* hist = chunk_hist.data() + c * kPasses * kRadix + p * kRadix;
         std::copy(hist, hist + kRadix, counts.begin() + static_cast<std::ptrdiff_t>(c * kRadix));

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 
 #include "core/operators.hpp"
 #include "mpsim/runtime.hpp"
+#include "obs/obs.hpp"
+#include "util/hash.hpp"
+#include "util/membudget.hpp"
 #include "util/rng.hpp"
 
 namespace papar::core {
@@ -157,6 +161,143 @@ TEST_P(OperatorRanksTest, GroupCountAddsIndegree) {
       EXPECT_EQ(d, v == "1" ? 4 : 1) << "vertex " << v;
     }
   });
+}
+
+// -- Group: differential against a host-side reference -------------------------
+
+/// Edges grouped by vertex_b, whose strings hold 0, 1, 15, 16, 17 and 40
+/// bytes, and 11-13 bytes so the grouped field bytes ([u32 length][string])
+/// span 15-17; strings that differ only in trailing NULs; equal-length
+/// strings that differ only past the grouped bytes' 15th; and one key on
+/// half the records. vertex_a is the record's index.
+std::vector<Record> group_key_records(std::size_t n, std::uint64_t seed) {
+  static const std::size_t kLengths[] = {0, 1, 11, 12, 13, 15, 16, 17, 40};
+  const std::string n11(11, 'n');
+  const std::vector<std::string> fixed = {
+      "ab", std::string("ab\0", 3), std::string("ab\0\0", 4),
+      n11 + "n", n11 + std::string("n\0", 2), n11 + "zb", n11 + "za",
+      n11 + std::string("z\0", 2), n11 + std::string(28, 'n') + "b",
+      n11 + std::string(28, 'n') + "a"};
+  Rng rng(seed);
+  std::vector<Record> recs;
+  recs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string key;
+    switch (rng.next_below(4)) {
+      case 0:
+      case 1:
+        key = "heavy";
+        break;
+      case 2:
+        key = fixed[rng.next_below(fixed.size())];
+        break;
+      default:
+        key.resize(kLengths[rng.next_below(std::size(kLengths))]);
+        for (auto& c : key) c = "\0q\xfe"[rng.next_below(3)];
+        break;
+    }
+    recs.emplace_back(std::vector<Value>{std::to_string(i), std::move(key)});
+  }
+  return recs;
+}
+
+/// group_op's page on `rank`, built on the host: the records whose
+/// vertex_b bytes hash to `rank`, in (source rank, page) order, stably
+/// sorted by those bytes, then extended by their group's count — record by
+/// record, or packed per group.
+std::vector<unsigned char> group_reference(const Schema& s, const std::vector<Record>& recs,
+                                           int rank, int nranks, const GroupArgs& args) {
+  Schema out_schema = s;
+  out_schema.add_field(args.addon->attr_name, FieldType::kInt64, "\n");
+  std::vector<std::pair<std::string, std::string>> mine;  // (key bytes, wire)
+  for (int src = 0; src < nranks; ++src) {
+    for (std::size_t i = static_cast<std::size_t>(src); i < recs.size();
+         i += static_cast<std::size_t>(nranks)) {
+      std::string wire = recs[i].encode(s);
+      const auto [off, len] = field_range(s, wire, 1);
+      std::string key = wire.substr(off, len);
+      if (key_hash(key) % static_cast<std::uint64_t>(nranks) ==
+          static_cast<std::uint64_t>(rank)) {
+        mine.emplace_back(std::move(key), std::move(wire));
+      }
+    }
+  }
+  std::stable_sort(mine.begin(), mine.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  mr::KvBuffer page;
+  for (std::size_t i = 0; i < mine.size();) {
+    std::size_t j = i;
+    while (j < mine.size() && mine[j].first == mine[i].first) ++j;
+    const auto count = static_cast<std::int64_t>(j - i);
+    const std::string attr(reinterpret_cast<const char*>(&count), sizeof(count));
+    std::vector<std::string> extended;
+    for (std::size_t k = i; k < j; ++k) extended.push_back(mine[k].second + attr);
+    if (args.output_format == DataFormat::kOrig) {
+      for (const auto& rec : extended) page.add(mine[i].first, rec);
+    } else {
+      const std::vector<std::string_view> views(extended.begin(), extended.end());
+      page.add(mine[i].first, encode_group(out_schema, 1, views, args.compress));
+    }
+    i = j;
+  }
+  return page.bytes();
+}
+
+TEST(GroupDifferential, MatchesHostReferenceByteForByte) {
+  const Schema s = edge_schema();
+  const auto spill_dir = std::filesystem::temp_directory_path() / "papar_group_diff_spill";
+  GroupArgs packed;
+  packed.key = "vertex_b";
+  packed.addon = AddOnSpec{AddOnKind::kCount, "", "indegree"};
+  packed.compress = true;
+  GroupArgs orig = packed;
+  orig.output_format = DataFormat::kOrig;
+  for (const bool budgeted : {false, true}) {
+    // Unbudgeted, the heavy key's rank sorts by radix. Under the budget a
+    // reduce emits each group whole, so the heavy group (half the records)
+    // must fit in the 128 KiB hard limit.
+    const std::vector<Record> recs = group_key_records(budgeted ? 4000 : 20000, 11);
+    // What the shuffle would carry with every record copied under its key.
+    std::uint64_t rekeyed_wire = 0;
+    std::uint64_t key_bytes = 0;
+    for (const auto& rec : recs) {
+      const std::string wire = rec.encode(s);
+      const std::uint64_t klen = field_range(s, wire, 1).second;
+      rekeyed_wire += 2 * sizeof(std::uint32_t) + klen + wire.size();
+      key_bytes += klen;
+    }
+    for (const int p : {1, 3, 16, 64}) {
+      for (const GroupArgs& args : {packed, orig}) {
+        SCOPED_TRACE(testing::Message() << p << " ranks, budgeted=" << budgeted
+                                        << ", packed="
+                                        << (args.output_format == DataFormat::kPacked));
+        std::filesystem::remove_all(spill_dir);
+        constexpr std::size_t kBudget = 128u << 10;
+        MemoryBudget budget({.hard_limit = kBudget,
+                             .soft_limit = kBudget / 5 * 4,
+                             .mailbox_limit = kBudget / 4,
+                             .spill_dir = spill_dir.string()});
+        obs::Recorder recorder;
+        mp::Runtime rt(p, mp::NetworkModel::zero());
+        rt.set_recorder(&recorder);
+        if (budgeted) rt.set_memory_budget(&budget);
+        std::vector<std::vector<unsigned char>> pages(static_cast<std::size_t>(p));
+        rt.run([&](mp::Comm& comm) {
+          Dataset ds = slice_of(s, recs, comm.rank(), comm.size());
+          group_op(comm, ds, args);
+          pages[static_cast<std::size_t>(comm.rank())] = ds.page.bytes();
+        });
+        for (int r = 0; r < p; ++r) {
+          EXPECT_EQ(pages[static_cast<std::size_t>(r)], group_reference(s, recs, r, p, args))
+              << "rank " << r;
+        }
+        EXPECT_EQ(recorder.counter("mr.shuffle.wire_bytes"), rekeyed_wire - key_bytes);
+        // One rank holds all 4000 records, past the soft watermark.
+        if (budgeted && p == 1) EXPECT_GT(budget.spill_bytes(), 0u);
+      }
+    }
+  }
+  std::filesystem::remove_all(spill_dir);
 }
 
 TEST(Operators, GroupAddOnSumMaxMinMean) {

@@ -3,6 +3,8 @@
 // binding from the paper's Figs. 4 and 5.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <limits>
 
 #include "schema/input_config.hpp"
@@ -250,6 +252,130 @@ TEST_P(TextSplits, HadoopSemanticsCoverEveryRecordOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, TextSplits, ::testing::Values(1, 2, 3, 8, 16, 64));
+
+// -- Text straight to wire: differential against the Record path -------------
+
+/// The wire records of every split, in order, and the DataError text that
+/// ended the pass (empty when none was raised).
+struct WireOutcome {
+  std::vector<std::string> wires;
+  std::string error;
+};
+
+WireOutcome via_reader(const InputFormat& input, int nsplits) {
+  WireOutcome out;
+  try {
+    for (const auto& split : input.splits(nsplits)) {
+      auto reader = input.reader(split);
+      Record rec;
+      while (reader->next(rec)) out.wires.push_back(rec.encode(input.schema()));
+    }
+  } catch (const DataError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+WireOutcome via_for_each_wire(const InputFormat& input, int nsplits) {
+  WireOutcome out;
+  try {
+    for (const auto& split : input.splits(nsplits)) {
+      input.for_each_wire(split, [&](std::string_view w) { out.wires.emplace_back(w); });
+    }
+  } catch (const DataError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// A text schema of 1-5 fields of random types with delimiters of 1-3
+/// bytes: field delimiters from ",;|\t", the record terminator from
+/// "\n\r".
+Schema random_text_schema(Rng& rng) {
+  static constexpr FieldType kTypes[] = {FieldType::kString, FieldType::kInt32,
+                                         FieldType::kInt64, FieldType::kFloat64};
+  const std::size_t nfields = 1 + rng.next_below(5);
+  Schema s;
+  for (std::size_t i = 0; i < nfields; ++i) {
+    const std::string_view alphabet = i + 1 == nfields ? "\n\r" : ",;|\t";
+    std::string delim(1 + rng.next_below(3), ' ');
+    for (auto& c : delim) c = alphabet[rng.next_below(alphabet.size())];
+    s.add_field("f" + std::to_string(i), kTypes[rng.next_below(4)], delim);
+  }
+  return s;
+}
+
+/// One token of `field`: strings of 0-6 bytes (a third of them empty) that
+/// may hold field-delimiter bytes but never a record-terminator byte, and
+/// whose field's delimiter first matches right after them; integers and
+/// doubles of either sign.
+std::string random_token(const Field& field, Rng& rng) {
+  switch (field.type) {
+    case FieldType::kString: {
+      std::string t;
+      do {
+        t.assign(rng.next_below(3) == 0 ? 0 : rng.next_below(7), ' ');
+        for (auto& c : t) c = "ab-.09 ,;|\t"[rng.next_below(11)];
+      } while ((t + field.delimiter).find(field.delimiter) != t.size());
+      return t;
+    }
+    case FieldType::kInt32:
+      return std::to_string(rng.next_below(2) == 0
+                                ? static_cast<std::int32_t>(rng.next_below(200)) - 100
+                                : static_cast<std::int32_t>(rng.next_u64()));
+    case FieldType::kInt64:
+      return std::to_string(static_cast<std::int64_t>(rng.next_u64()));
+    case FieldType::kFloat64: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", (rng.next_double() - 0.5) * 1e6);
+      return buf;
+    }
+  }
+  return {};
+}
+
+TEST(TextWire, ForEachWireMatchesReaderOnRandomSchemas) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Schema s = random_text_schema(rng);
+    const std::size_t rows = rng.next_below(40);
+    std::string content;
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (const auto& f : s.fields()) content += random_token(f, rng) + f.delimiter;
+    }
+    const TextDelimitedInput input(s, content);
+    for (int k = 1; k <= 7; ++k) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << ", " << k << " splits");
+      const WireOutcome want = via_reader(input, k);
+      const WireOutcome got = via_for_each_wire(input, k);
+      EXPECT_EQ(want.error, "");
+      EXPECT_EQ(want.wires.size(), rows);
+      EXPECT_EQ(got.wires, want.wires);
+      EXPECT_EQ(got.error, want.error);
+    }
+  }
+}
+
+TEST(TextWire, MalformedInputRaisesTheReadersError) {
+  Schema s;
+  s.add_field("a", FieldType::kString, "\t").add_field("n", FieldType::kInt32, "\n");
+  const std::pair<std::string, std::string> cases[] = {
+      {"x\t1\ny\t2", "data error: unterminated field `n` in text input"},
+      {"x\t1\ny\t12x\n", "data error: bad int32 token `12x` for field `n`"},
+      {"x\t2147483648\n", "data error: bad int32 token `2147483648` for field `n`"},
+  };
+  for (const auto& [content, error] : cases) {
+    const TextDelimitedInput input(s, content);
+    for (int k = 1; k <= 3; ++k) {
+      SCOPED_TRACE(testing::Message() << error << ", " << k << " splits");
+      const WireOutcome want = via_reader(input, k);
+      const WireOutcome got = via_for_each_wire(input, k);
+      EXPECT_EQ(want.error, error);
+      EXPECT_EQ(got.error, want.error);
+      EXPECT_EQ(got.wires, want.wires);
+    }
+  }
+}
 
 TEST(Writers, BinaryRoundTripThroughDisk) {
   const Schema s = blast_schema();

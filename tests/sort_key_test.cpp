@@ -168,6 +168,81 @@ void regroup(MapReduce& mr) {
   });
 }
 
+/// Group keys around the 16-byte edge of reduce()'s sort key: keys of 0,
+/// 1, 15, 16, 17 and 40 bytes, keys sharing their first 15 bytes, keys
+/// that differ only in trailing NULs, and one 16-byte key holding half the
+/// records. Each key travels inside its value as [u8 length][key][index],
+/// under an empty record key, so reduce() groups through a projection.
+Records long_key_records(std::size_t n, std::uint64_t seed) {
+  const std::string base = "abcdefghijklmno";  // 15 bytes
+  static const std::size_t kLengths[] = {0, 1, 15, 16, 17, 40};
+  const std::vector<std::string> fixed = {
+      std::string(),
+      std::string("a"),
+      base,
+      base + std::string("\0", 1),
+      base + std::string("\0\0", 2),
+      base + "p",
+      base + "pq",
+      base + std::string("p\0", 2),
+      base + std::string("\0p", 2),
+      base + std::string(25, 'z'),
+      base + std::string(24, 'z') + "y",
+      std::string("ab"),
+      std::string("ab\0", 3),
+      std::string(16, '\xff'),
+  };
+  const std::string heavy = base + "x";
+  Rng rng(seed);
+  Records out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string key;
+    switch (rng.next_below(4)) {
+      case 0:
+      case 1:
+        key = heavy;
+        break;
+      case 2:
+        key = fixed[rng.next_below(fixed.size())];
+        break;
+      default:
+        key.resize(kLengths[rng.next_below(std::size(kLengths))]);
+        for (auto& c : key) c = "\0a\xff"[rng.next_below(3)];
+        break;
+    }
+    std::string value(1, static_cast<char>(key.size()));
+    value += key;
+    value += std::to_string(i);
+    out.emplace_back(std::string(), std::move(value));
+  }
+  return out;
+}
+
+std::string_view value_key(std::string_view value) {
+  return value.substr(1, static_cast<unsigned char>(value[0]));
+}
+
+/// reduce() through value_key(), re-emitting every value under its group
+/// key.
+void regroup_by_value_key(MapReduce& mr) {
+  mr.reduce([](const KvPair& kv) { return value_key(kv.value); },
+            [](std::string_view key, std::span<const std::string_view> values,
+               KvEmitter& emit) {
+              for (const auto v : values) emit.emit(key, v);
+            });
+}
+
+/// What regroup_by_value_key() must produce: every record under its group
+/// key, stably sorted by it.
+Records regrouped_by_value_key(const Records& input) {
+  Records want = stable_sorted(input, [](const Record& a, const Record& b) {
+    return value_key(a.second) < value_key(b.second);
+  });
+  for (auto& [k, v] : want) k = std::string(value_key(v));
+  return want;
+}
+
 /// Checks an outcome and that the dispatch took radix exactly at or past
 /// the cutoff.
 void expect_outcome(const Outcome& got, const Records& want, std::size_t n) {
@@ -184,6 +259,15 @@ TEST(SortByKey, ReduceGroupsInKeyByteOrderUnderEveryEngine) {
     const Records want = stable_sorted(
         input, [](const Record& a, const Record& b) { return a.first < b.first; });
     expect_outcome(run_op(input, nullptr, regroup), want, n);
+  }
+}
+
+TEST(SortByKey, ReduceThroughProjectionOrdersKeysAroundSixteenBytes) {
+  for (const std::size_t n : kSizes) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    const Records input = long_key_records(n, 97 + n);
+    expect_outcome(run_op(input, nullptr, regroup_by_value_key),
+                   regrouped_by_value_key(input), n);
   }
 }
 
@@ -251,9 +335,13 @@ TEST(SortByKey, BudgetPastSoftWatermarkSpillsByteIdentically) {
     EXPECT_EQ(sorted.bytes, page_bytes(dist_want));
     const Outcome grouped = run_op(group_input, &budget, regroup);
     EXPECT_EQ(grouped.bytes, page_bytes(group_want));
+    const Records long_input = long_key_records(n, 101 + n);
+    const Outcome long_grouped = run_op(long_input, &budget, regroup_by_value_key);
+    EXPECT_EQ(long_grouped.bytes, page_bytes(regrouped_by_value_key(long_input)));
     if (n >= sortlib::kRadixAutoCutoff) {
       EXPECT_EQ(sorted.radix_sorts, 0u);
       EXPECT_EQ(grouped.radix_sorts, 0u);
+      EXPECT_EQ(long_grouped.radix_sorts, 0u);
       EXPECT_GT(budget.spill_bytes(), 0u);
     }
   }

@@ -627,6 +627,25 @@ TEST(OneWriter, RetentionEvictionsAreCountedOnce) {
   expect_one_series_per_field(run.report, recorder, /*governed=*/false);
 }
 
+TEST(OneWriter, ReusedInjectorReportsEachRunsOwnFaults) {
+  const std::string content = pairs_content(2000, 33);
+  mp::FaultInjector inj(mp::FaultPlan::parse("seed=5,drop=0.1"));
+  mp::Runtime rt(3, mp::NetworkModel::zero());
+  rt.set_fault_injector(&inj);
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(testing::Message() << "run " << run);
+    const mp::FaultCounts before = inj.counts();
+    const auto result = run_sort_workflow(content, {}, &rt);
+    const mp::FaultCounts after = inj.counts();
+    // The first run's drops are what a lifetime count would add to the rest.
+    if (run == 0) EXPECT_GT(after.drops, 0u);
+    EXPECT_EQ(result.report.faults.drops, after.drops - before.drops);
+    EXPECT_EQ(result.report.faults.retries, after.retries - before.retries);
+    EXPECT_GT(result.report.faults.checkpoint_saves, 0u);
+  }
+  rt.set_fault_injector(nullptr);
+}
+
 TEST(OneWriter, DetachedRecorderObservesNoHistogram) {
   obs::Recorder recorder;
   mp::Runtime rt(2, mp::NetworkModel::zero());

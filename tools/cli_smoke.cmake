@@ -188,3 +188,22 @@ foreach(flag "--retry-backoff;-1" "--retry-backoff;nan" "--retry-max;-1"
     message(FATAL_ERROR "papar ${flag} was not rejected (${rc}): ${err}")
   endif()
 endforeach()
+
+# Malformed input fails the run with its data error: an edge list whose last
+# line lacks its terminating newline.
+file(WRITE "${WORK_DIR}/edges-unterminated.txt" "1\t2\n3\t4\n5\t6")
+execute_process(
+  COMMAND "${PAPAR_CLI}"
+          --input-config "${CONFIG_DIR}/graph_edge.xml"
+          --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+          --arg input_file=edges.txt
+          --arg output_path=${WORK_DIR}/parts-unterminated/graph
+          --arg num_partitions=4
+          --arg threshold=15
+          --file edges.txt=${WORK_DIR}/edges-unterminated.txt
+          --nodes 4
+  RESULT_VARIABLE rc
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "data error: unterminated field")
+  message(FATAL_ERROR "an unterminated last line was not rejected (${rc}): ${err}")
+endif()
