@@ -403,7 +403,8 @@ PartitionResult WorkflowEngine::run(
     if (file_it == input_files.end()) {
       throw ConfigError("no input content provided for `" + path + "`");
     }
-    auto input = schema::open_input_from_memory(spec_it->second, file_it->second);
+    // `input_files` outlives the run, so the input reads it in place.
+    auto input = schema::open_input_view(spec_it->second, file_it->second);
     file_splits[path] = input->splits(nranks);
     file_inputs[path] = std::move(input);
   }

@@ -5,13 +5,18 @@
 #include <limits>
 #include <string>
 
+#include "mapreduce/sort_column.hpp"
 #include "mapreduce/spill.hpp"
-#include "sortlib/radix.hpp"
 #include "sortlib/sort.hpp"
 #include "util/hash.hpp"
 #include "util/membudget.hpp"
 
 namespace papar::mr {
+
+using detail::be_bytes;
+using detail::KeyedIndex;
+using detail::SampleView;
+using detail::sample_less;
 
 namespace {
 
@@ -42,18 +47,6 @@ SpillConfig make_spill_config(MemoryBudget* budget, int rank) {
   cfg.run_bytes =
       std::max<std::size_t>(16u * 1024, budget->config().soft_limit / 4);
   return cfg;
-}
-
-/// `width` (at most 8) bytes of `s` from `from` as a big-endian integer,
-/// zero-padded past the end of `s`. Zero-padding never contradicts byte
-/// order: a < b implies be_bytes(a, 0, w) <= be_bytes(b, 0, w), and the
-/// same for later words of strings whose earlier words are equal.
-std::uint64_t be_bytes(std::string_view s, std::size_t from, std::size_t width) {
-  unsigned char buf[8] = {};
-  if (from < s.size()) std::memcpy(buf, s.data() + from, std::min(width, s.size() - from));
-  std::uint64_t x = 0;
-  for (std::size_t i = 0; i < width; ++i) x = (x << 8) | buf[i];
-  return x;
 }
 
 /// reduce()'s fixed-width key: bytes 0-7 of the group key, then bytes 8-14
@@ -479,15 +472,10 @@ void MapReduce::sort_by_key(const SortKeyFn& key, TieBreak tie) {
 std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, const TieFn& tie,
                                                    std::vector<SortKey>* keys) {
   const std::size_t n = page_.count();
-  const bool want_radix = n >= sortlib::kRadixAutoCutoff;
-  struct Entry {
-    SortKey key;
-    std::size_t off;
-  };
-  const std::size_t column_bytes = 2 * n * sizeof(Entry);
+  const std::size_t column_bytes = detail::column_bytes(n);
   auto offs = page_.offsets();
   comm_->note_sort_progress(n);
-  if (!want_radix ||
+  if (n < sortlib::kRadixAutoCutoff ||
       (spill_ready(budget_) && budget_->should_spill(comm_->rank(), column_bytes))) {
     if (obs::Recorder* rec = comm_->recorder()) {
       rec->add_counter("sort.records", n);
@@ -503,96 +491,46 @@ std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, const T
     return offs;
   }
 
-  // Radix path: one contiguous {key, offset} column, sorted stably by minor
-  // and then by major in O(passes * n) — an LSD sort over the composite
-  // key, with trivial byte passes skipped, and the minor sort skipped when
-  // the column is already in minor order (distribute's ascending stamps).
-  // Stability keeps equal keys in page order, the same permutation the
-  // stable comparator sort produces; the tie-break then stable-sorts only
-  // the equal-key runs by bytes.
-  sortlib::RadixStats minor_stats;
-  sortlib::RadixStats major_stats;
+  // Radix path: one contiguous {key, offset} column in page order, sorted
+  // by detail::sort_column in O(passes * n). Stability keeps equal keys in
+  // page order, the same permutation the stable comparator sort produces;
+  // the tie-break then stable-sorts only the equal-key runs by bytes.
+  detail::ColumnStats stats;
   {
-    BudgetScope column(budget_, comm_->rank(), column_bytes);
-    std::vector<Entry> entries;
-    entries.reserve(n);
-    for (const std::size_t off : offs) entries.push_back(Entry{key(page_.at(off)), off});
-    {
-      std::vector<Entry> scratch(n);
-      if (std::is_sorted(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-            return a.key.minor < b.key.minor;
-          })) {
-        minor_stats.skipped_passes = sizeof(std::uint64_t);
-      } else {
-        sortlib::lsd_radix_sort_seq(
-            std::span<Entry>(entries), std::span<Entry>(scratch),
-            [](const Entry& e) { return e.key.minor; }, &minor_stats);
-      }
-      sortlib::lsd_radix_sort_seq(
-          std::span<Entry>(entries), std::span<Entry>(scratch),
-          [](const Entry& e) { return e.key.major; }, &major_stats);
-    }
-    if (tie != nullptr) {
-      const auto entry_less = [&](const Entry& a, const Entry& b) {
-        return tie(a.key, a.off, b.off);
-      };
-      std::size_t i = 0;
-      while (i < n) {
-        std::size_t j = i + 1;
-        while (j < n && entries[j].key.major == entries[i].key.major &&
-               entries[j].key.minor == entries[i].key.minor) {
-          ++j;
-        }
-        const auto first = entries.begin() + static_cast<std::ptrdiff_t>(i);
-        const auto last = entries.begin() + static_cast<std::ptrdiff_t>(j);
-        if (j - i > 1 && !std::is_sorted(first, last, entry_less)) {
-          std::stable_sort(first, last, entry_less);
-        }
-        i = j;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) offs[i] = entries[i].off;
+    BudgetScope charge(budget_, comm_->rank(), column_bytes);
+    std::vector<KeyedIndex> column;
+    column.reserve(n);
+    for (const std::size_t off : offs) column.push_back(KeyedIndex{key(page_.at(off)), off});
+    stats = tie == nullptr ? detail::sort_column(column)
+                           : detail::sort_column(column, [&](const KeyedIndex& a,
+                                                             const KeyedIndex& b) {
+                               return tie(a.key, a.at, b.at);
+                             });
+    for (std::size_t i = 0; i < n; ++i) offs[i] = column[i].at;
     if (keys != nullptr) {
       keys->resize(n);
-      for (std::size_t i = 0; i < n; ++i) (*keys)[i] = entries[i].key;
+      for (std::size_t i = 0; i < n; ++i) (*keys)[i] = column[i].key;
     }
   }
   if (obs::Recorder* rec = comm_->recorder()) {
     rec->add_counter("sort.records", n);
     rec->add_counter("sort.engine_radix", 1);
-    rec->add_counter("sort.radix_passes", minor_stats.passes + major_stats.passes);
-    rec->add_counter("sort.radix_passes_skipped",
-                     minor_stats.skipped_passes + major_stats.skipped_passes);
+    rec->add_counter("sort.radix_passes", stats.passes);
+    rec->add_counter("sort.radix_passes_skipped", stats.skipped_passes);
   }
   return offs;
 }
 
 namespace {
 
-/// A sampled record, and a sample_sort_u64 splitter: the directed
-/// projection plus, for composite splitters, views of the record's bytes.
-struct SampleView {
-  std::uint64_t proj = 0;
-  std::string_view key;
-  std::string_view value;
-};
-
-/// The sort's total order: projection, then key bytes, then value bytes.
-bool sample_less(const SampleView& a, const SampleView& b) {
-  if (a.proj != b.proj) return a.proj < b.proj;
-  const int by_key = a.key.compare(b.key);
-  return by_key != 0 ? by_key < 0 : a.value < b.value;
-}
-
 /// Sample wire format: [u64 proj], then for composite samples
-/// [u64 key length][key][u64 value length][value].
+/// [u32 key length][key][u32 value length][value], with the lengths at the
+/// width of a KvBuffer frame's.
 void put_sample(ByteWriter& w, const SampleView& s, bool composite) {
   w.put<std::uint64_t>(s.proj);
   if (!composite) return;
-  w.put<std::uint64_t>(s.key.size());
-  w.put_bytes(s.key.data(), s.key.size());
-  w.put<std::uint64_t>(s.value.size());
-  w.put_bytes(s.value.data(), s.value.size());
+  w.put_string(s.key);
+  w.put_string(s.value);
 }
 
 /// Appends the samples in `bytes` to `out` as views into `bytes`.
@@ -603,14 +541,52 @@ void read_samples(const std::vector<unsigned char>& bytes, bool composite,
     SampleView s;
     s.proj = r.get<std::uint64_t>();
     if (composite) {
-      s.key = r.get_bytes(r.get<std::uint64_t>());
-      s.value = r.get_bytes(r.get<std::uint64_t>());
+      s.key = r.get_bytes(r.get<std::uint32_t>());
+      s.value = r.get_bytes(r.get<std::uint32_t>());
     }
     out.push_back(s);
   }
 }
 
 }  // namespace
+
+std::vector<SampleView> detail::pick_splitters(std::vector<SampleView> sample, int p,
+                                               bool composite, MemoryBudget* budget,
+                                               int rank) {
+  const std::size_t n = sample.size();
+  const auto rank_of = [n, p](int i) {
+    return static_cast<std::size_t>(i) * n / static_cast<std::size_t>(p);
+  };
+  const auto splitters = static_cast<std::size_t>(std::max(p - 1, 0));
+  if (n == 0) {
+    return std::vector<SampleView>(
+        splitters, SampleView{std::numeric_limits<std::uint64_t>::max(), {}, {}});
+  }
+  std::vector<SampleView> picked;
+  picked.reserve(splitters);
+  if (spill_ready(budget) && budget->should_spill(rank, column_bytes(n))) {
+    std::sort(sample.begin(), sample.end(), sample_less);
+    for (int i = 1; i < p; ++i) picked.push_back(sample[rank_of(i)]);
+    return picked;
+  }
+  BudgetScope charge(budget, rank, column_bytes(n));
+  std::vector<KeyedIndex> column;
+  column.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const SampleView& s = sample[i];
+    column.push_back(
+        KeyedIndex{SortKey{s.proj, composite ? byte_prefix(s.key, s.value) : 0}, i});
+  }
+  if (composite) {
+    sort_column(column, [&sample](const KeyedIndex& a, const KeyedIndex& b) {
+      return sample_less(sample[a.at], sample[b.at]);
+    });
+  } else {
+    sort_column(column);
+  }
+  for (int i = 1; i < p; ++i) picked.push_back(sample[column[rank_of(i)].at]);
+  return picked;
+}
 
 void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
                                 SplitterMethod method, int oversample,
@@ -656,25 +632,18 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
         const auto kv = page_.at(offs[idx]);
         put_sample(w, SampleView{directed(kv), kv.key, kv.value}, composite);
       }
-      // Rank 0 alone sorts the gathered sample and broadcasts the p-1
-      // splitters at ranks i*n/p; equal samples are byte-identical, so the
-      // unstable sort cannot change which bytes are picked. The same
-      // gather-then-bcast an allgather makes, so message counts and fault
-      // event numbering do not depend on this choice.
+      // Rank 0 alone orders the gathered sample through a radix column
+      // (detail::pick_splitters) and broadcasts the p-1 splitters at ranks
+      // i*n/p. The same gather-then-bcast an allgather makes, so message
+      // counts and fault event numbering do not depend on this choice.
       ByteWriter picked;
       {
         const auto gathered = comm_->gather(0, w.take());
         if (comm_->rank() == 0) {
           std::vector<SampleView> sample;
           for (const auto& part : gathered) read_samples(part, composite, sample);
-          std::sort(sample.begin(), sample.end(), sample_less);
-          for (int i = 1; i < p; ++i) {
-            // No records anywhere: the boundary value is never consulted.
-            const SampleView s =
-                sample.empty()
-                    ? SampleView{std::numeric_limits<std::uint64_t>::max(), {}, {}}
-                    : sample[static_cast<std::size_t>(i) * sample.size() /
-                             static_cast<std::size_t>(p)];
+          for (const SampleView& s :
+               detail::pick_splitters(std::move(sample), p, composite, budget_, 0)) {
             put_sample(picked, s, composite);
           }
         }
@@ -752,16 +721,13 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
 
   // Final stable local sort by the directed projection (full-byte
   // tie-break makes the order total when requested). Under the tie-break
-  // the minor key is a prefix of (key bytes, value bytes) that never
-  // contradicts their order — empty keys first by their value's first 7
-  // bytes, other keys above bit 56 by their own first 7 — so only records
-  // equal in both words reach the byte comparator.
+  // the minor key is detail::byte_prefix, which never contradicts (key
+  // bytes, value bytes) order, so only records equal in both words reach
+  // the byte comparator.
   sort_by_key(
       [&directed, tie_break_bytes](const KvPair& kv) {
-        if (!tie_break_bytes) return SortKey{directed(kv), 0};
-        return SortKey{directed(kv), kv.key.empty()
-                                         ? be_bytes(kv.value, 0, 7)
-                                         : (std::uint64_t{1} << 56) | be_bytes(kv.key, 0, 7)};
+        return SortKey{directed(kv),
+                       tie_break_bytes ? detail::byte_prefix(kv.key, kv.value) : 0};
       },
       tie_break_bytes ? TieBreak::kKeyValue : TieBreak::kNone);
 }

@@ -30,9 +30,9 @@ namespace papar::mr {
 
 /// How sample_sort_u64 chooses reducer range splitters.
 enum class SplitterMethod {
-  /// Sample keys on every rank and gather them at rank 0, which sorts the
-  /// sample and broadcasts the p-1 splitters (the paper's approach, after
-  /// Gufler et al. [9]).
+  /// Sample keys on every rank and gather them at rank 0, which orders the
+  /// sample through a radix column and broadcasts the p-1 splitters (the
+  /// paper's approach, after Gufler et al. [9]).
   kSampled,
   /// Linear interpolation between the global min and max key. Cheap but
   /// badly imbalanced on skewed distributions; kept for the ablation.
@@ -183,10 +183,10 @@ class MapReduce {
 
   /// sort_by_key's order without moving records: the page's record offsets
   /// in sorted order (a null `tie` keeps equal keys in page order). The
-  /// radix column is charged to the budget; when it would cross the soft
-  /// watermark the comparator path runs instead. With `keys`, the radix
-  /// path also returns the SortKeys in sorted order (the comparator path
-  /// leaves it empty).
+  /// radix path sorts a detail::sort_column; the column is charged to the
+  /// budget, and when it would cross the soft watermark the comparator path
+  /// runs instead. With `keys`, the radix path also returns the SortKeys in
+  /// sorted order (the comparator path leaves it empty).
   std::vector<std::size_t> sorted_offsets(const SortKeyFn& key, const TieFn& tie,
                                           std::vector<SortKey>* keys = nullptr);
 

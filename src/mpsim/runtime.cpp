@@ -63,7 +63,8 @@ struct RetainedSegment {
 
 /// Append-only scratch file backing spilled retention segments; one per
 /// mailbox, created lazily, removed on destruction. Every spilled segment
-/// carries a CRC32C verified on read-back.
+/// carries a CRC32C verified on read-back. A reset rewinds the spool but
+/// keeps the file open: bytes past `size` are stale and never read.
 struct RetentionSpool {
   std::FILE* f = nullptr;
   std::string path;
@@ -95,13 +96,7 @@ struct RetentionSpool {
     return std::fread(out, 1, n, f) == n;
   }
 
-  void reset() {
-    size = 0;
-    if (f != nullptr) {
-      std::fclose(f);
-      f = std::fopen(path.c_str(), "w+b");
-    }
-  }
+  void reset() { size = 0; }
 };
 
 struct Mailbox {

@@ -114,4 +114,11 @@ std::unique_ptr<InputFormat> open_input_from_memory(const InputSpec& spec,
   return std::make_unique<TextDelimitedInput>(spec.schema, std::move(content));
 }
 
+std::unique_ptr<InputFormat> open_input_view(const InputSpec& spec, std::string_view content) {
+  if (spec.kind == InputKind::kBinary) {
+    return std::make_unique<BinaryFixedInput>(spec.schema, content, spec.start_position);
+  }
+  return std::make_unique<TextDelimitedInput>(spec.schema, content);
+}
+
 }  // namespace papar::schema

@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "schema/input_format.hpp"
 #include "schema/schema.hpp"
@@ -51,8 +52,13 @@ std::string unescape_delimiter(std::string_view raw);
 std::unique_ptr<InputFormat> open_input(const InputSpec& spec, const std::string& path);
 
 /// Builds an InputFormat over in-memory content (the paper's in-memory
-/// repartitioning requirement: intermediate data need not touch disk).
+/// repartitioning requirement: intermediate data need not touch disk). The
+/// input owns `content`.
 std::unique_ptr<InputFormat> open_input_from_memory(const InputSpec& spec,
                                                     std::string content);
+
+/// Builds an InputFormat that reads `content` in place: the bytes must
+/// outlive the input.
+std::unique_ptr<InputFormat> open_input_view(const InputSpec& spec, std::string_view content);
 
 }  // namespace papar::schema

@@ -115,9 +115,14 @@ class TextRecordReader : public RecordReader {
 
 BinaryFixedInput::BinaryFixedInput(Schema schema, std::string content,
                                    std::size_t start_position)
-    : InputFormat(std::move(schema)),
-      content_(std::move(content)),
-      start_(start_position) {
+    : BinaryFixedInput(std::move(schema), std::string_view(content), start_position) {
+  owned_ = std::move(content);
+  content_ = owned_;
+}
+
+BinaryFixedInput::BinaryFixedInput(Schema schema, std::string_view content,
+                                   std::size_t start_position)
+    : InputFormat(std::move(schema)), content_(content), start_(start_position) {
   if (!schema_.fixed_width()) {
     throw ConfigError("binary input requires a fixed-width schema");
   }
@@ -172,7 +177,13 @@ void BinaryFixedInput::for_each_wire(
 // -- TextDelimitedInput -------------------------------------------------------
 
 TextDelimitedInput::TextDelimitedInput(Schema schema, std::string content)
-    : InputFormat(std::move(schema)), content_(std::move(content)) {
+    : TextDelimitedInput(std::move(schema), std::string_view(content)) {
+  owned_ = std::move(content);
+  content_ = owned_;
+}
+
+TextDelimitedInput::TextDelimitedInput(Schema schema, std::string_view content)
+    : InputFormat(std::move(schema)), content_(content) {
   for (const auto& f : schema_.fields()) {
     if (f.delimiter.empty()) {
       throw ConfigError("text schema field `" + f.name + "` lacks a delimiter");

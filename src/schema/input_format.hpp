@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "schema/record.hpp"
@@ -37,6 +38,8 @@ class RecordReader {
 class InputFormat {
  public:
   virtual ~InputFormat() = default;
+  InputFormat(const InputFormat&) = delete;
+  InputFormat& operator=(const InputFormat&) = delete;
 
   const Schema& schema() const { return schema_; }
 
@@ -63,10 +66,13 @@ class InputFormat {
 };
 
 /// Fixed-width binary input: `start_position` header bytes, then packed
-/// records of schema.record_width() bytes each.
+/// records of schema.record_width() bytes each. Owns its bytes when given a
+/// string or a file; reads a string_view in place.
 class BinaryFixedInput : public InputFormat {
  public:
   BinaryFixedInput(Schema schema, std::string content, std::size_t start_position);
+  /// Reads `content` in place: the bytes must outlive the input.
+  BinaryFixedInput(Schema schema, std::string_view content, std::size_t start_position);
 
   static std::unique_ptr<BinaryFixedInput> from_file(Schema schema,
                                                      const std::string& path,
@@ -79,16 +85,20 @@ class BinaryFixedInput : public InputFormat {
                      const std::function<void(std::string_view)>& fn) const override;
 
  private:
-  std::string content_;
+  std::string owned_;
+  std::string_view content_;
   std::size_t start_ = 0;
   std::size_t width_ = 0;
 };
 
 /// Delimited text input: fields terminated by their schema delimiters, the
-/// last field's delimiter ends the record (e.g. "\t" then "\n").
+/// last field's delimiter ends the record (e.g. "\t" then "\n"). Owns its
+/// bytes when given a string or a file; reads a string_view in place.
 class TextDelimitedInput : public InputFormat {
  public:
   TextDelimitedInput(Schema schema, std::string content);
+  /// Reads `content` in place: the bytes must outlive the input.
+  TextDelimitedInput(Schema schema, std::string_view content);
 
   static std::unique_ptr<TextDelimitedInput> from_file(Schema schema,
                                                        const std::string& path);
@@ -100,7 +110,8 @@ class TextDelimitedInput : public InputFormat {
                      const std::function<void(std::string_view)>& fn) const override;
 
  private:
-  std::string content_;
+  std::string owned_;
+  std::string_view content_;
 };
 
 // -- Writers ----------------------------------------------------------------

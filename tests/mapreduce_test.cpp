@@ -491,24 +491,47 @@ TEST(MapReduce, SampleSortTieBreakBytesTotalOrderAt64Ranks) {
 }
 
 TEST(MapReduce, SampleSortBroadcastsOnlyTheSplitters) {
-  // Rank 0 sorts the gathered sample and broadcasts only the p-1 splitters.
-  // Broadcasting the whole sample (p * 200 records here) down the tree
-  // would ship about 33 MB.
+  // Rank 0 orders the gathered sample and broadcasts only the p-1
+  // splitters. Broadcasting the whole sample (p * 200 records here) down the
+  // tree would ship about 26 MB. A composite sample of an empty key and a
+  // 16-byte value is 32 bytes: its u64 projection, the u32 key and value
+  // lengths of a KvBuffer frame, and the value.
   const int p = 64;
+  constexpr std::uint64_t kRecords = 200;
+  constexpr std::uint64_t kSampleBytes = 8 + 4 + 4 + 16;
+  constexpr std::uint64_t kFrameBytes = 4 + 4 + 16;
+  obs::Recorder rec;
   mp::Runtime rt(p, mp::NetworkModel::zero());
-  const auto stats = rt.run([](mp::Comm& comm) {
+  rt.set_recorder(&rec);
+  std::atomic<std::uint64_t> moved{0};
+  const auto stats = rt.run([&](mp::Comm& comm) {
     MapReduce mr(comm);
     Rng rng(300 + static_cast<std::uint64_t>(comm.rank()));
-    for (int i = 0; i < 200; ++i) {
+    std::set<std::string> own;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
       std::string value(16, '\0');
       for (auto& c : value) c = static_cast<char>(rng.next_below(256));
+      own.insert(value);
       mr.mutable_local().add("", value);
     }
     mr.sample_sort_u64(
         [](std::string_view, std::string_view value) { return key_u64(value); }, true,
         SplitterMethod::kSampled, 32, /*tie_break_bytes=*/true);
+    std::uint64_t kept = 0;
+    mr.local().for_each(
+        [&](std::string_view, std::string_view value) { kept += own.count(std::string(value)); });
+    moved += kRecords - kept;
   });
-  EXPECT_LT(stats.remote_bytes, 2'000'000u);
+  rt.set_recorder(nullptr);
+  // Every rank but 0 gathers its 200 samples into rank 0, the bcast tree
+  // carries the 63 splitters over 63 edges, and the shuffle ships each
+  // record that changes rank as its frame.
+  const std::uint64_t q = p - 1;
+  EXPECT_EQ(rec.counter("mpsim.bytes.gather"), q * kRecords * kSampleBytes);
+  EXPECT_EQ(rec.counter("mpsim.bytes.bcast"), q * q * kSampleBytes);
+  EXPECT_EQ(rec.counter("mpsim.bytes.alltoall"), moved.load() * kFrameBytes);
+  EXPECT_EQ(stats.remote_bytes,
+            q * kRecords * kSampleBytes + q * q * kSampleBytes + moved.load() * kFrameBytes);
   // One gather, one binomial-tree bcast and one alltoallv: the messages of
   // an allgather followed by the shuffle.
   EXPECT_EQ(stats.remote_messages, static_cast<std::uint64_t>((p - 1) + (p - 1) + p * (p - 1)));

@@ -334,6 +334,48 @@ TEST(RecoveryReplay, SpilledRetentionServesReplayFromDisk) {
   fs::remove_all(dir);
 }
 
+TEST(RecoveryReplay, RewoundSpoolServesTheNextRunsBytes) {
+  // A spool is rewound, not truncated, between runs: the second run writes
+  // shorter segments over the first run's, and its replay must read its
+  // own bytes, not the stale tail.
+  const fs::path dir = fresh_dir("papar_retention_rewind");
+  const int kMsgs = 10;
+  mp::Runtime rt(2, mp::NetworkModel::rdma());
+  mp::RecoveryOptions ropts;
+  ropts.mode = mp::RecoveryMode::kLocal;
+  ropts.retention_limit = 64;  // every segment below overflows the window
+  ropts.retention_spill_dir = dir.string();
+  rt.set_recovery(ropts);
+  for (const std::string filler : {std::string(100, 'x'), std::string(70, 'y')}) {
+    obs::Recorder recorder;
+    rt.set_recorder(&recorder);
+    mp::FaultInjector inj(mp::FaultPlan::parse("seed=9,crash=1@" + std::to_string(kMsgs + 1)));
+    rt.set_fault_injector(&inj);
+    std::string collected;
+    rt.run([&](mp::Comm& comm) {
+      if (comm.rank() == 0) {
+        for (int i = 0; i < kMsgs; ++i) comm.send(1, 0, bytes_of(filler + std::to_string(i)));
+        comm.barrier();
+      } else {
+        std::string local;
+        for (int i = 0; i < kMsgs; ++i) local += str_of(comm.recv(0, 0).payload);
+        comm.barrier();
+        collected = local;
+      }
+    });
+    rt.set_recorder(nullptr);
+    rt.set_fault_injector(nullptr);
+
+    std::string expect;
+    for (int i = 0; i < kMsgs; ++i) expect += filler + std::to_string(i);
+    EXPECT_EQ(collected, expect);
+    EXPECT_EQ(inj.counts().rank_replays, 1u);
+    EXPECT_GT(recorder.counter("recovery.retention_spill_bytes"), 0u);
+    EXPECT_GT(inj.counts().refetches, 0u);
+  }
+  fs::remove_all(dir);
+}
+
 // -- Per-rank checkpoint slices -----------------------------------------------
 
 TEST(RecoveryCheckpoint, LatestForRankSeesSlicesAheadOfLatestComplete) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <tuple>
 
 #include "schema/input_config.hpp"
 #include "schema/input_format.hpp"
@@ -192,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(Counts, BinarySplits, ::testing::Values(1, 2, 3, 7, 16,
 
 TEST(TextInput, ParsesEdgeList) {
   const Schema s = edge_schema();
-  TextDelimitedInput input(s, "1\t2\n3\t4\n5\t6\n");
+  TextDelimitedInput input(s, std::string("1\t2\n3\t4\n5\t6\n"));
   EXPECT_EQ(input.record_count(), 3u);
   const auto all = read_all(input);
   ASSERT_EQ(all.size(), 3u);
@@ -203,7 +204,7 @@ TEST(TextInput, ParsesEdgeList) {
 TEST(TextInput, ParsesNumericTextFields) {
   Schema s;
   s.add_field("a", FieldType::kInt64, "\t").add_field("b", FieldType::kFloat64, "\n");
-  TextDelimitedInput input(s, "42\t2.5\n-7\t0.25\n");
+  TextDelimitedInput input(s, std::string("42\t2.5\n-7\t0.25\n"));
   const auto all = read_all(input);
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].as_int(0), 42);
@@ -213,7 +214,7 @@ TEST(TextInput, ParsesNumericTextFields) {
 TEST(TextInput, BadNumericTokenThrows) {
   Schema s;
   s.add_field("a", FieldType::kInt32, "\n");
-  TextDelimitedInput input(s, "12x\n");
+  TextDelimitedInput input(s, std::string("12x\n"));
   auto reader = input.reader(input.splits(1)[0]);
   Record rec;
   EXPECT_THROW((void)reader->next(rec), DataError);
@@ -221,7 +222,7 @@ TEST(TextInput, BadNumericTokenThrows) {
 
 TEST(TextInput, UnterminatedRecordThrows) {
   const Schema s = edge_schema();
-  TextDelimitedInput input(s, "1\t2\n3\t4");  // missing trailing \n
+  TextDelimitedInput input(s, std::string("1\t2\n3\t4"));  // missing trailing \n
   auto splits = input.splits(1);
   auto reader = input.reader(splits[0]);
   Record rec;
@@ -470,6 +471,45 @@ TEST(InputConfig, OpenInputFromMemoryDispatches) {
     </input>)"));
   auto input = open_input_from_memory(spec, "x\ty\n");
   EXPECT_EQ(input->record_count(), 1u);
+}
+
+TEST(InputConfig, OpenInputViewReadsTheContentInPlace) {
+  // A view input copies nothing: binary wire slices point into the caller's
+  // bytes, and both kinds yield what an owning input over a copy yields.
+  const auto binary = parse_input_spec(xml::parse(R"(
+    <input id="pairs"><input_format>binary</input_format><start_position>4</start_position>
+      <element><value name="a" type="int32"/><value name="b" type="int32"/></element>
+    </input>)"));
+  const auto text = parse_input_spec(xml::parse(R"(
+    <input id="graph_edge"><input_format>text</input_format>
+      <element>
+        <value name="a" type="String"/><delimiter value="\t"/>
+        <value name="b" type="String"/><delimiter value="\n"/>
+      </element>
+    </input>)"));
+  const std::string bin_content = std::string("head") + std::string(24, '\x5a');
+  const std::string text_content = "x\ty\nlonger field\tz\n";
+  for (const auto& [spec, content, records] :
+       {std::tuple{&binary, &bin_content, 3u}, std::tuple{&text, &text_content, 2u}}) {
+    const auto view = open_input_view(*spec, *content);
+    const auto copy = open_input_from_memory(*spec, *content);
+    std::vector<std::string> from_view;
+    std::vector<std::string> from_copy;
+    for (const FileSplit& split : view->splits(2)) {
+      view->for_each_wire(split, [&](std::string_view wire) {
+        from_view.emplace_back(wire);
+        if (spec == &binary) {
+          EXPECT_GE(wire.data(), content->data());
+          EXPECT_LE(wire.data() + wire.size(), content->data() + content->size());
+        }
+      });
+    }
+    for (const FileSplit& split : copy->splits(2)) {
+      copy->for_each_wire(split, [&](std::string_view wire) { from_copy.emplace_back(wire); });
+    }
+    EXPECT_EQ(from_view, from_copy);
+    EXPECT_EQ(from_view.size(), records);
+  }
 }
 
 }  // namespace

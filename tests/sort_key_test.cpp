@@ -2,19 +2,25 @@
 // the grouping order reduce() builds on it, on both sort engines and on the
 // budget-spill path, against std::stable_sort with the record comparators
 // the operators used before the entry point existed. Sizes straddle
-// sortlib::kRadixAutoCutoff so the dispatch takes both engines.
+// sortlib::kRadixAutoCutoff so the dispatch takes both engines. The sample
+// sort's splitter pick, which orders its sample through the same radix
+// column, is checked against a comparator sort of the whole sample.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "mapreduce/mapreduce.hpp"
+#include "mapreduce/sort_column.hpp"
 #include "mpsim/runtime.hpp"
 #include "obs/obs.hpp"
 #include "sortlib/sort.hpp"
@@ -346,6 +352,130 @@ TEST(SortByKey, BudgetPastSoftWatermarkSpillsByteIdentically) {
     }
   }
   EXPECT_TRUE(!std::filesystem::exists(dir) || std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
+// -- The sample sort's splitter pick ------------------------------------------
+
+/// A gathered sample: views into bytes it owns, as rank 0 holds them.
+struct Sample {
+  std::deque<std::string> bytes;
+  std::vector<detail::SampleView> views;
+
+  void add(std::uint64_t proj, std::string key, std::string value) {
+    const std::string& k = bytes.emplace_back(std::move(key));
+    const std::string& v = bytes.emplace_back(std::move(value));
+    views.push_back(detail::SampleView{proj, k, v});
+  }
+};
+
+/// Short strings over bytes that stress a byte-prefix key: NULs, bytes at
+/// and past 0x80, and prefixes shared for 7 bytes or more.
+std::string tricky_bytes(Rng& rng) {
+  static const char kAlphabet[] = {'\0', '\x01', 'a', 'b', '\x7f', '\x80', '\xff'};
+  std::string s;
+  switch (rng.next_below(4)) {
+    case 0: s = "SHARED7"; break;                       // a 7-byte prefix many share
+    case 1: s = std::string("ab\0", 3); break;          // a NUL inside the prefix
+    case 2: s = "\xff\xff\xff\xff\xff\xff\xff"; break;  // an all-ones prefix
+    default: break;
+  }
+  const std::size_t tail = rng.next_below(6);
+  for (std::size_t i = 0; i < tail; ++i) s += kAlphabet[rng.next_below(sizeof(kAlphabet))];
+  if (rng.next_below(4) == 0) s.append(rng.next_below(3) + 1, '\0');  // trailing NULs
+  return s;
+}
+
+/// `n` seeded adversarial samples: projections with many duplicates (or one
+/// constant projection), empty and non-empty keys, values sharing 7-byte
+/// prefixes, trailing NULs, high bytes and duplicated records. Plain
+/// samples carry only their projection, as on the wire.
+Sample adversarial_sample(std::size_t n, bool composite, bool constant_proj, std::uint64_t seed) {
+  Rng rng(seed);
+  Sample sample;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.next_below(5) == 0) {
+      const detail::SampleView& twin = sample.views[rng.next_below(i)];
+      sample.add(twin.proj, std::string(twin.key), std::string(twin.value));
+      continue;
+    }
+    std::uint64_t proj = 42;
+    if (!constant_proj) {
+      switch (rng.next_below(4)) {
+        case 0: proj = rng.next_u64(); break;
+        case 1: proj = std::numeric_limits<std::uint64_t>::max() - rng.next_below(2); break;
+        default: proj = rng.next_below(6); break;
+      }
+    }
+    if (!composite) {
+      sample.add(proj, {}, {});
+      continue;
+    }
+    std::string key = rng.next_below(2) == 0 ? std::string() : tricky_bytes(rng);
+    sample.add(proj, std::move(key), tricky_bytes(rng));
+  }
+  return sample;
+}
+
+using Picked = std::vector<std::tuple<std::uint64_t, std::string, std::string>>;
+
+Picked owned(const std::vector<detail::SampleView>& views) {
+  Picked out;
+  for (const auto& s : views) out.emplace_back(s.proj, std::string(s.key), std::string(s.value));
+  return out;
+}
+
+/// The pick a comparator sort of the whole sample makes.
+Picked reference_pick(std::vector<detail::SampleView> sample, int p) {
+  if (sample.empty()) {
+    return Picked(static_cast<std::size_t>(p - 1),
+                  {std::numeric_limits<std::uint64_t>::max(), {}, {}});
+  }
+  std::sort(sample.begin(), sample.end(), detail::sample_less);
+  std::vector<detail::SampleView> picked;
+  for (int i = 1; i < p; ++i) {
+    picked.push_back(sample[static_cast<std::size_t>(i) * sample.size() / static_cast<std::size_t>(p)]);
+  }
+  return owned(picked);
+}
+
+class SplitterPick : public testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(SplitterPick, PicksTheBytesAComparatorSortPicks) {
+  const auto [p, composite] = GetParam();
+  const std::size_t full = 32u * static_cast<std::size_t>(p) * static_cast<std::size_t>(p);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{300}, full}) {
+    for (const bool constant_proj : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " constant_proj=" << constant_proj);
+      const Sample sample = adversarial_sample(n, composite, constant_proj, 17 * n + p);
+      EXPECT_EQ(owned(detail::pick_splitters(sample.views, p, composite)),
+                reference_pick(sample.views, p));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RanksAndWire, SplitterPick,
+                         testing::Combine(testing::Values(2, 3, 16, 64), testing::Bool()));
+
+TEST(SplitterPickBudget, ChargesTheColumnOrSortsTheViewsPastTheSoftWatermark) {
+  const auto dir = std::filesystem::temp_directory_path() / "papar_splitter_pick";
+  const int p = 16;
+  const Sample sample = adversarial_sample(32 * p * p, true, false, 5);
+  const Picked want = reference_pick(sample.views, p);
+  const std::size_t column = detail::column_bytes(sample.views.size());
+
+  MemoryBudget roomy({.hard_limit = 64u << 20, .soft_limit = 32u << 20, .mailbox_limit = 0,
+                      .spill_dir = dir.string()});
+  roomy.bind(1);
+  EXPECT_EQ(owned(detail::pick_splitters(sample.views, p, true, &roomy, 0)), want);
+  EXPECT_GE(roomy.high_water(0), column);
+  EXPECT_EQ(roomy.used(0), 0u);
+
+  MemoryBudget tight({.hard_limit = 64u << 20, .soft_limit = column - 1, .mailbox_limit = 0,
+                      .spill_dir = dir.string()});
+  tight.bind(1);
+  EXPECT_EQ(owned(detail::pick_splitters(sample.views, p, true, &tight, 0)), want);
+  EXPECT_EQ(tight.high_water(0), 0u);
   std::filesystem::remove_all(dir);
 }
 
