@@ -651,7 +651,6 @@ PartitionResult WorkflowEngine::run(
       }
       job_boundary(s);
       enter_stage("job:" + step.decl->id);
-      const double stage_open = comm.vtime();
       std::uint64_t in_count = 0;
       std::uint64_t out_count = 0;
       switch (step.kind) {
@@ -713,7 +712,6 @@ PartitionResult WorkflowEngine::run(
         }
       }
       close_stage(s, in_count, out_count);
-      comm.record_span("job:" + step.decl->id, "engine", stage_open);
     }
 
     // Snapshot per-rank completion time BEFORE the closing boundary (no

@@ -114,20 +114,33 @@ class KvBuffer {
   std::size_t count_ = 0;
 };
 
+class RewriteSpool;
+
 /// Write-only view of a KvBuffer handed to user map/reduce callbacks.
 class KvEmitter {
  public:
   explicit KvEmitter(KvBuffer& sink) : sink_(&sink) {}
+  /// Emits into `spool`'s buffer. A spool that watches a budget may spill
+  /// after every emitted record; with none, an emit pays one pointer check
+  /// more. Defined with RewriteSpool, in spill.cpp.
+  explicit KvEmitter(RewriteSpool& spool);
 
-  void emit(std::string_view key, std::string_view value) { sink_->add(key, value); }
+  void emit(std::string_view key, std::string_view value) {
+    sink_->add(key, value);
+    if (spool_ != nullptr) flush_spool();
+  }
 
   template <typename K, typename V>
   void emit_pod(const K& key, const V& value) {
     sink_->add_pod(key, value);
+    if (spool_ != nullptr) flush_spool();
   }
 
  private:
+  void flush_spool();
+
   KvBuffer* sink_;
+  RewriteSpool* spool_ = nullptr;
 };
 
 }  // namespace papar::mr

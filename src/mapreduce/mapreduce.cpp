@@ -7,7 +7,6 @@
 
 #include "mapreduce/sort_column.hpp"
 #include "mapreduce/spill.hpp"
-#include "sortlib/sort.hpp"
 #include "util/hash.hpp"
 #include "util/membudget.hpp"
 
@@ -47,6 +46,15 @@ SpillConfig make_spill_config(MemoryBudget* budget, int rank) {
   cfg.run_bytes =
       std::max<std::size_t>(16u * 1024, budget->config().soft_limit / 4);
   return cfg;
+}
+
+/// The spool map_kv and reduce emit through. Under a spill-ready budget it
+/// spills past the soft watermark, checked after every emitted record, and
+/// the source page is freed before the output materializes, so the peak is
+/// max(input, output) + one spool buffer instead of input + output.
+/// Otherwise it only buffers.
+SpillConfig spool_config(MemoryBudget* budget, int rank) {
+  return spill_ready(budget) ? make_spill_config(budget, rank) : SpillConfig{};
 }
 
 /// reduce()'s fixed-width key: bytes 0-7 of the group key, then bytes 8-14
@@ -89,18 +97,18 @@ std::function<bool(const KvPair&, const KvPair&)> key_less(const MapReduce::Sort
   };
 }
 
-/// Records one virtual-time span per rank for a MapReduce phase. Costs one
-/// vtime() read at each end when a recorder is attached, nothing otherwise.
+/// Records one kSpan trace event per rank for a MapReduce phase. Costs one
+/// vtime() read at each end when a tracer is attached, nothing otherwise.
 class PhaseSpan {
  public:
   PhaseSpan(mp::Comm* comm, const char* name) : comm_(comm), name_(name) {
-    if (comm_->recorder() != nullptr) {
+    if (comm_->tracing()) {
       active_ = true;
       begin_ = comm_->vtime();
     }
   }
   ~PhaseSpan() {
-    if (active_) comm_->record_span(name_, "mr", begin_);
+    if (active_) comm_->record_span(name_, begin_);
   }
 
   PhaseSpan(const PhaseSpan&) = delete;
@@ -125,24 +133,11 @@ void MapReduce::map(int nmap, const MapTaskFn& fn) {
 
 void MapReduce::map_kv(const MapKvFn& fn) {
   PhaseSpan span(comm_, "mr.map_kv");
-  if (spill_ready(budget_)) {
-    // Bounded rewrite: emissions spool to disk past the soft watermark and
-    // the source page is freed before the output materializes, so the peak
-    // is max(input, output) + one spool buffer instead of input + output.
-    RewriteSpool spool(make_spill_config(budget_, comm_->rank()));
-    KvEmitter emitter(spool.buffer());
-    page_.for_each([&](std::string_view k, std::string_view v) {
-      fn(k, v, emitter);
-      spool.maybe_flush();
-    });
-    { auto old = page_.take_bytes(); }
-    spool.finish(page_);
-    return;
-  }
-  KvBuffer fresh;
-  KvEmitter emitter(fresh);
+  RewriteSpool spool(spool_config(budget_, comm_->rank()));
+  KvEmitter emitter(spool);
   page_.for_each([&](std::string_view k, std::string_view v) { fn(k, v, emitter); });
-  page_ = std::move(fresh);
+  { auto old = page_.take_bytes(); }
+  spool.finish(page_);
 }
 
 void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
@@ -151,16 +146,16 @@ void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
   const std::uint64_t routed = page_.count();
 
   // Sizing pass: run the routing function exactly once per record (it may
-  // be stateful — sample_sort's tie spreader is), cache the destination,
+  // be stateful — sample_sort's tie spreader is), remember the destination,
   // and accumulate exact per-destination byte counts.
-  route_cache_.clear();
-  route_cache_.reserve(routed);
+  std::vector<int> dests;
+  dests.reserve(routed);
   std::vector<std::size_t> dest_bytes(static_cast<std::size_t>(p), 0);
   page_.for_each_record(
       [&](std::span<const unsigned char> framed, std::string_view k, std::string_view v) {
         const int dest = route(KvPair{k, v});
         PAPAR_CHECK_MSG(dest >= 0 && dest < p, "partitioner returned an invalid rank");
-        route_cache_.push_back(dest);
+        dests.push_back(dest);
         dest_bytes[static_cast<std::size_t>(dest)] += framed.size();
       });
   obs::Recorder* rec = comm_->recorder();
@@ -170,44 +165,40 @@ void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
   // segments per destination instead of one page-sized buffer per rank,
   // so neither the send side nor any mailbox ever holds the whole stage.
   if (budget_ != nullptr && budget_->config().mailbox_limit > 0) {
-    shuffle_segmented(dest_bytes);
+    shuffle_segmented(dests, dest_bytes);
     return;
   }
 
-  // Fill pass: bulk-copy each framed record into its destination page. The
-  // pages come from the arena — storage recycled from the previous
-  // shuffle's received buffers — so steady-state aggregate() loops
-  // allocate nothing per call. With a (non-credit) budget attached, the
-  // arena counts as tracked working memory: a stage that cannot fit fails
-  // typed, not OOM.
+  // Fill pass: bulk-copy each framed record into its destination page.
+  // With a (non-credit) budget attached, the pages count as tracked
+  // working memory: a stage that cannot fit fails typed, not OOM.
   std::size_t total_bytes = 0;
   for (const std::size_t b : dest_bytes) total_bytes += b;
-  BudgetScope arena_scope(budget_, comm_->rank(), total_bytes);
-  arena_.resize(static_cast<std::size_t>(p));
+  BudgetScope pages_scope(budget_, comm_->rank(), total_bytes);
+  std::vector<std::vector<unsigned char>> pages(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
-    auto& buf = arena_[static_cast<std::size_t>(r)];
-    buf.clear();
-    buf.reserve(dest_bytes[static_cast<std::size_t>(r)]);
+    pages[static_cast<std::size_t>(r)].reserve(dest_bytes[static_cast<std::size_t>(r)]);
   }
   std::size_t i = 0;
   page_.for_each_record(
       [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
-        auto& buf = arena_[static_cast<std::size_t>(route_cache_[i++])];
+        auto& buf = pages[static_cast<std::size_t>(dests[i++])];
         buf.insert(buf.end(), framed.begin(), framed.end());
       });
   page_.clear();
   if (rec != nullptr) rec->add_counter("mr.shuffle.wire_bytes", total_bytes);
 
-  // Ownership-transfer shuffle: the arena pages move into the destination
-  // mailboxes uncopied; the buffers received back become the next
-  // shuffle's arena storage.
-  auto received = comm_->alltoallv(std::move(arena_));
-  for (const auto& part : received) page_.append_page(part.data(), part.size());
-  arena_ = std::move(received);
-  for (auto& buf : arena_) buf.clear();
+  // Ownership-transfer shuffle: the pages move into the destination
+  // mailboxes uncopied, and each received buffer is freed once appended.
+  auto received = comm_->alltoallv(std::move(pages));
+  for (auto& part : received) {
+    page_.append_page(part.data(), part.size());
+    part = std::vector<unsigned char>();
+  }
 }
 
-void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
+void MapReduce::shuffle_segmented(const std::vector<int>& dests,
+                                  const std::vector<std::size_t>& dest_bytes) {
   const int p = comm_->size();
   const int self = comm_->rank();
   constexpr std::size_t kSegHeader = 2 * sizeof(std::uint32_t);
@@ -236,7 +227,7 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
     std::size_t i = 0;
     page_.for_each_record(
         [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
-          const auto d = static_cast<std::size_t>(route_cache_[i++]);
+          const auto d = static_cast<std::size_t>(dests[i++]);
           if (fill[d] > 0 && fill[d] + framed.size() > chunk) {
             ++total[d];
             fill[d] = 0;
@@ -309,7 +300,7 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   std::size_t i = 0;
   page_.for_each_record(
       [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
-        const auto d = static_cast<std::size_t>(route_cache_[i++]);
+        const auto d = static_cast<std::size_t>(dests[i++]);
         auto& b = seg[d];
         if (b.size() > kSegHeader && b.size() - kSegHeader + framed.size() > chunk) {
           flush_segment(d);
@@ -393,11 +384,8 @@ void MapReduce::reduce(const GroupKeyFn& group_key, const ReduceFn& fn) {
     return keys.empty() ? sort_key(page_.at(offs[i])) : keys[i];
   };
 
-  const bool spooled = spill_ready(budget_);
-  RewriteSpool spool(spooled ? make_spill_config(budget_, comm_->rank())
-                             : SpillConfig{});
-  KvBuffer fresh;
-  KvEmitter emitter(spooled ? spool.buffer() : fresh);
+  RewriteSpool spool(spool_config(budget_, comm_->rank()));
+  KvEmitter emitter(spool);
   std::vector<std::string_view> values;
   std::size_t i = 0;
   while (i < offs.size()) {
@@ -415,15 +403,10 @@ void MapReduce::reduce(const GroupKeyFn& group_key, const ReduceFn& fn) {
       values.push_back(kv.value);
     }
     fn(head_key, std::span<const std::string_view>(values.data(), values.size()), emitter);
-    if (spooled) spool.maybe_flush();
     i = j;
   }
-  if (spooled) {
-    { auto old = page_.take_bytes(); }
-    spool.finish(page_);
-  } else {
-    page_ = std::move(fresh);
-  }
+  { auto old = page_.take_bytes(); }
+  spool.finish(page_);
 }
 
 void MapReduce::local_sort(
@@ -475,8 +458,7 @@ std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, const T
   const std::size_t column_bytes = detail::column_bytes(n);
   auto offs = page_.offsets();
   comm_->note_sort_progress(n);
-  if (n < sortlib::kRadixAutoCutoff ||
-      (spill_ready(budget_) && budget_->should_spill(comm_->rank(), column_bytes))) {
+  if (spill_ready(budget_) && budget_->should_spill(comm_->rank(), column_bytes)) {
     if (obs::Recorder* rec = comm_->recorder()) {
       rec->add_counter("sort.records", n);
       rec->add_counter("sort.engine_merge", 1);
@@ -491,10 +473,11 @@ std::vector<std::size_t> MapReduce::sorted_offsets(const SortKeyFn& key, const T
     return offs;
   }
 
-  // Radix path: one contiguous {key, offset} column in page order, sorted
-  // by detail::sort_column in O(passes * n). Stability keeps equal keys in
-  // page order, the same permutation the stable comparator sort produces;
-  // the tie-break then stable-sorts only the equal-key runs by bytes.
+  // Radix path, for every page: one contiguous {key, offset} column in page
+  // order, sorted by detail::sort_column in O(passes * n). Stability keeps
+  // equal keys in page order, the same permutation the stable comparator
+  // sort produces; the tie-break then stable-sorts only the equal-key runs
+  // by bytes.
   detail::ColumnStats stats;
   {
     BudgetScope charge(budget_, comm_->rank(), column_bytes);

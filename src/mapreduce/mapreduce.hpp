@@ -122,11 +122,11 @@ class MapReduce {
       const std::function<bool(const KvPair&, const KvPair&)>& less);
 
   /// The engine's local sort: stable order by the fixed-width `key`, equal
-  /// keys ordered by `tie`. Pages of at least sortlib::kRadixAutoCutoff
-  /// records take the LSD radix path over a contiguous {key, offset}
-  /// column, byte-identical to the comparator stable sort smaller pages
-  /// take; a rank whose page copy would cross its budget's soft watermark
-  /// sorts externally (runs spill to disk) instead.
+  /// keys ordered by `tie`. Every page takes the LSD radix path over a
+  /// contiguous {key, offset} column; a rank whose page copy would cross
+  /// its budget's soft watermark sorts externally (runs spill to disk)
+  /// instead, and one whose column alone would cross it takes a stable
+  /// comparator sort, byte-identical to the radix order.
   void sort_by_key(const SortKeyFn& key, TieBreak tie);
 
   /// Global sort: after the call, records are ordered by `proj` within each
@@ -172,10 +172,12 @@ class MapReduce {
   /// Budget-aware shuffle body: streams many bounded segments per
   /// destination (wire format [u32 seq][u32 segment-count][frames...])
   /// instead of one monolithic page, draining incoming segments between
-  /// sends so mailbox credits keep circulating. Requires route_cache_ to
-  /// be filled by the sizing pass. `dest_bytes` is per-destination
-  /// payload bytes (they size the segments and the tracked charge).
-  void shuffle_segmented(const std::vector<std::size_t>& dest_bytes);
+  /// sends so mailbox credits keep circulating. `dests` is each record's
+  /// destination from shuffle_by's sizing pass, and `dest_bytes` is
+  /// per-destination payload bytes (they size the segments and the tracked
+  /// charge).
+  void shuffle_segmented(const std::vector<int>& dests,
+                         const std::vector<std::size_t>& dest_bytes);
 
   /// Orders two records, given by page offset, whose SortKeys both equal
   /// `key`; returns false when `key` alone decides.
@@ -184,23 +186,16 @@ class MapReduce {
   /// sort_by_key's order without moving records: the page's record offsets
   /// in sorted order (a null `tie` keeps equal keys in page order). The
   /// radix path sorts a detail::sort_column; the column is charged to the
-  /// budget, and when it would cross the soft watermark the comparator path
-  /// runs instead. With `keys`, the radix path also returns the SortKeys in
-  /// sorted order (the comparator path leaves it empty).
+  /// budget, and when it would cross a spill-ready budget's soft watermark
+  /// the comparator path runs instead. With `keys`, the radix path also
+  /// returns the SortKeys in sorted order (the comparator path leaves it
+  /// empty).
   std::vector<std::size_t> sorted_offsets(const SortKeyFn& key, const TieFn& tie,
                                           std::vector<SortKey>* keys = nullptr);
 
   mp::Comm* comm_;
   MemoryBudget* budget_ = nullptr;
   KvBuffer page_;
-  // Reusable shuffle state. `arena_` holds the per-destination send pages;
-  // after each alltoallv the received buffers are recycled into it, so a
-  // steady-state aggregate() loop reuses storage instead of reallocating.
-  // `route_cache_` remembers each record's destination from the sizing pass
-  // so the (possibly stateful) routing function runs exactly once per
-  // record.
-  std::vector<std::vector<unsigned char>> arena_;
-  std::vector<int> route_cache_;
 };
 
 }  // namespace papar::mr

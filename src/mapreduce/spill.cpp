@@ -275,6 +275,11 @@ SpillStats external_stable_sort(
 // ---------------------------------------------------------------------------
 // RewriteSpool
 
+KvEmitter::KvEmitter(RewriteSpool& spool)
+    : sink_(&spool.buffer()), spool_(spool.budgeted() ? &spool : nullptr) {}
+
+void KvEmitter::flush_spool() { spool_->maybe_flush(); }
+
 RewriteSpool::RewriteSpool(const SpillConfig& cfg) : cfg_(cfg) {}
 
 RewriteSpool::~RewriteSpool() {

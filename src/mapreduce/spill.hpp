@@ -15,10 +15,12 @@
 //
 //  - RewriteSpool: bounded-memory sink for phases that rewrite the page
 //    record-by-record (map_kv, reduce). Emitted records accumulate in an
-//    in-memory buffer; when the rank is over its soft watermark the sealed
-//    frames are appended to a spill file and the buffer resets. finish()
-//    streams everything back in emission order (fast path: never spilled
-//    -> plain move), so output is byte-identical to the unspooled rewrite.
+//    in-memory buffer; after every emitted record, when the rank is over
+//    its soft watermark, the sealed frames are appended to a spill file and
+//    the buffer resets, so no one callback's output has to fit in memory.
+//    finish() streams everything back in emission order (fast path: never
+//    spilled -> plain move), so output is byte-identical to the unspooled
+//    rewrite. A spool without a budget only buffers.
 //
 // Spill files are created lazily under SpillConfig::dir (created on
 // demand) and removed by RAII — on success and on every exception path —
@@ -106,9 +108,12 @@ class RewriteSpool {
   /// The in-memory buffer user callbacks emit into.
   KvBuffer& buffer() { return buf_; }
 
+  /// True when the spool accounts to a budget and may spill.
+  bool budgeted() const { return cfg_.budget != nullptr; }
+
   /// Flushes the buffer to disk if this rank is over its soft watermark.
-  /// Call between emitter callbacks (never mid-record: frames must stay
-  /// sealed).
+  /// Call between records (never mid-record: frames must stay sealed); a
+  /// KvEmitter over the spool calls it after every record it emits.
   void maybe_flush();
 
   /// Replaces `out` with the full emitted sequence (spilled frames first,

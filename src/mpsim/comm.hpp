@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -273,13 +274,18 @@ class Comm {
 
   // -- Observability -------------------------------------------------------
 
-  /// The recorder attached to the runtime (nullptr when tracing is off).
-  /// Shared across ranks; Recorder is thread-safe.
+  /// The recorder attached to the runtime (nullptr when no counters are
+  /// kept). Shared across ranks; Recorder is thread-safe.
   obs::Recorder* recorder() const;
 
-  /// Records a virtual-time span for this rank ending "now" (tid = rank).
-  /// No-op without a recorder.
-  void record_span(std::string name, std::string category, double begin_vtime);
+  /// True when a TraceRecorder is attached to the runtime.
+  bool tracing() const;
+
+  /// Appends a kSpan event named `name` to this rank's trace, from
+  /// `begin_vtime` to now. The append takes no lock; interning the name in
+  /// the stage table takes that table's lock, as set_trace_stage does.
+  /// No-op without a tracer.
+  void record_span(std::string_view name, double begin_vtime);
 
   /// Declares that this rank entered pipeline stage `name`: subsequent
   /// trace events carry the stage, and a zero-length stage marker is

@@ -805,16 +805,19 @@ std::uint64_t Comm::remote_messages_so_far() const {
 
 obs::Recorder* Comm::recorder() const { return shared_->recorder; }
 
-void Comm::record_span(std::string name, std::string category, double begin_vtime) {
-  obs::Recorder* rec = shared_->recorder;
-  if (rec == nullptr) return;
-  obs::SpanEvent ev;
-  ev.name = std::move(name);
-  ev.category = std::move(category);
-  ev.tid = rank_;
+bool Comm::tracing() const { return shared_->tracer != nullptr; }
+
+void Comm::record_span(std::string_view name, double begin_vtime) {
+  obs::TraceRecorder* tracer = shared_->tracer;
+  if (tracer == nullptr) return;
+  obs::TraceEvent ev;
+  ev.kind = obs::TraceEventKind::kSpan;
+  ev.stage = trace_stage_;
+  ev.attempt = attempt_;
   ev.begin = begin_vtime;
   ev.end = vtime();
-  rec->record_span(std::move(ev));
+  ev.sender_stage = tracer->stage_id(name);
+  tracer->record(rank_, ev);
 }
 
 void Comm::charge_modeled(double seconds) {
@@ -1065,22 +1068,12 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
         // Every lost transmission costs the sender a full serialization,
         // the retry timeout, and an exponentially growing backoff before
         // the redundant copy goes back on the wire.
-        const double begin = vtime_;
         const FaultPlan& plan = inj->plan();
         double backoff = plan.backoff_base;
         for (int i = 0; i < d.drops; ++i) {
           vtime_ += static_cast<double>(n) / shared_->network.bandwidth +
                     plan.retry_timeout + backoff;
           backoff = std::min(backoff * 2.0, plan.backoff_max);
-        }
-        if (obs::Recorder* rec = shared_->recorder) {
-          obs::SpanEvent ev;
-          ev.name = "net.retry";
-          ev.category = "fault";
-          ev.tid = rank_;
-          ev.begin = begin;
-          ev.end = vtime_;
-          rec->record_span(std::move(ev));
         }
       }
       if (d.duplicate) {
@@ -1902,17 +1895,6 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
   for (auto& c : comms) {
     stats.rank_time.push_back(c.vtime_);
     stats.makespan = std::max(stats.makespan, c.vtime_);
-  }
-  if (obs::Recorder* rec = shared_->recorder) {
-    for (auto& c : comms) {
-      obs::SpanEvent ev;
-      ev.name = "rank";
-      ev.category = "mpsim";
-      ev.tid = c.rank_;
-      ev.begin = attempt_base;
-      ev.end = c.vtime_;
-      rec->record_span(std::move(ev));
-    }
   }
   stats.remote_messages = shared_->remote_messages.load();
   stats.remote_bytes = shared_->remote_bytes.load();

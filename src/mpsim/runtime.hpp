@@ -67,13 +67,11 @@ class Runtime {
   /// message adds its bytes to the `mpsim.bytes.<kind>` counter of its
   /// collective kind and feeds the message latency, payload size and
   /// mailbox depth histograms of the recorder's registry (handles resolved
-  /// here, so per-message observation is lock-free); dropped transmissions
-  /// record `net.retry` spans, each run() records one whole-rank span per
-  /// rank, and code running on the ranks can add its own spans via
-  /// Comm::record_span. Fault, replay and traffic totals are not written
-  /// here: their owners (FaultInjector, RunStats) count them, and the
-  /// engine exports its report into the recorder once per run. The
-  /// recorder must outlive the runtime (or be detached first).
+  /// here, so per-message observation is lock-free). Fault, replay and
+  /// traffic totals are not written here: their owners (FaultInjector,
+  /// RunStats) count them, and the engine exports its report into the
+  /// recorder once per run. The recorder must outlive the runtime (or be
+  /// detached first).
   void set_recorder(obs::Recorder* recorder);
   obs::Recorder* recorder() const;
 
@@ -102,8 +100,9 @@ class Runtime {
   /// Attaches a causal trace recorder (nullptr to detach): every
   /// send/recv/barrier records a TraceEvent on its rank and messages carry
   /// a propagated trace context (unique id + sender stage), forming the
-  /// happens-before graph obs/critpath.hpp analyses. The recorder is bound
-  /// to this runtime's rank count and must outlive the runtime or be
+  /// happens-before graph obs/critpath.hpp analyses; code running on the
+  /// ranks adds named phases through Comm::record_span. The recorder is
+  /// bound to this runtime's rank count and must outlive the runtime or be
   /// detached first. The fault-free hot path is gated on this one pointer.
   void set_tracer(obs::TraceRecorder* tracer);
   obs::TraceRecorder* tracer() const;

@@ -48,7 +48,7 @@ CriticalPath critical_path(const TraceData& trace) {
   std::vector<std::vector<const TraceEvent*>> barriers;  // by generation
   for (std::size_t r = 0; r < trace.per_rank.size(); ++r) {
     for (const auto& e : trace.per_rank[r]) {
-      if (e.attempt != final_attempt) continue;
+      if (e.attempt != final_attempt || e.kind == TraceEventKind::kSpan) continue;
       ev[r].push_back(&e);
       if (e.kind == TraceEventKind::kSend && e.msg_id != 0) {
         if (send_by_id.size() <= e.msg_id) send_by_id.resize(e.msg_id + 1, nullptr);
@@ -112,6 +112,7 @@ CriticalPath critical_path(const TraceData& trace) {
     switch (e.kind) {
       case TraceEventKind::kStageMark:
       case TraceEventKind::kRankDone:
+      case TraceEventKind::kSpan:  // never collected above
         t = std::min(t, e.begin);  // zero-length marker
         break;
       case TraceEventKind::kSend:
@@ -176,7 +177,7 @@ std::vector<StageSkewRow> skew_table(const TraceData& trace) {
     double prev_end = -1.0;
     std::uint32_t current = 0;
     for (const auto& e : trace.per_rank[r]) {
-      if (e.attempt != final_attempt) continue;
+      if (e.attempt != final_attempt || e.kind == TraceEventKind::kSpan) continue;
       if (prev_end < 0.0) prev_end = e.begin;  // no gap before the first event
       const double gap = e.begin - prev_end;
       if (gap > 0.0) activity[current][r].compute += gap;
@@ -198,6 +199,7 @@ std::vector<StageSkewRow> skew_table(const TraceData& trace) {
           break;
         case TraceEventKind::kStageMark:
         case TraceEventKind::kRankDone:
+        case TraceEventKind::kSpan:  // skipped above
           break;
       }
       prev_end = e.end;

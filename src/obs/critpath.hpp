@@ -9,7 +9,8 @@
 // that blocked jumps to its matching send) and barrier edges (a barrier
 // jumps to the last arriver). The segments therefore tile (0, makespan]
 // exactly: the attributed durations sum to the end-to-end virtual time by
-// construction, which the tests assert to the last ulp-ish epsilon.
+// construction, which the tests assert to the last ulp-ish epsilon. Every
+// analysis here skips kSpan events, which annotate the timeline.
 #pragma once
 
 #include <cstdint>

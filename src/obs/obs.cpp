@@ -19,21 +19,6 @@ std::uint64_t Recorder::counter(std::string_view name) const {
   return metrics_.counter_value(name);
 }
 
-void Recorder::record_span(SpanEvent event) {
-  std::lock_guard<std::mutex> lock(span_mutex_);
-  spans_.push_back(std::move(event));
-}
-
-std::vector<SpanEvent> Recorder::spans() const {
-  std::lock_guard<std::mutex> lock(span_mutex_);
-  return spans_;
-}
-
-std::size_t Recorder::span_count() const {
-  std::lock_guard<std::mutex> lock(span_mutex_);
-  return spans_.size();
-}
-
 namespace {
 
 /// Formats a double with enough digits to round-trip through parse().
@@ -141,8 +126,9 @@ std::string StageReport::to_json() const {
 
 StageReport StageReport::from_json(std::string_view text) {
   const json::Value root = json::parse(text);
-  PAPAR_CHECK_MSG(root.kind == json::Value::Kind::kObject,
-                  "stage report JSON must be an object");
+  if (root.kind != json::Value::Kind::kObject) {
+    throw DataError("stage report JSON must be an object");
+  }
   StageReport report;
   report.makespan = root.at("makespan").number;
   fields_from_json(root, report, kTotalFields);
@@ -211,7 +197,7 @@ const Value* Value::find(std::string_view key) const {
 
 const Value& Value::at(std::string_view key) const {
   const Value* v = find(key);
-  PAPAR_CHECK_MSG(v != nullptr, "JSON object lacks key `" + std::string(key) + "`");
+  if (v == nullptr) throw DataError("JSON object lacks key `" + std::string(key) + "`");
   return *v;
 }
 

@@ -1,12 +1,12 @@
-// Observability layer: the Recorder (run counters and spans) and per-job
-// stage reports with their JSON, --stats and metrics views.
+// Observability layer: the Recorder (run counters) and per-job stage
+// reports with their JSON, --stats and metrics views.
 //
 // The paper's argument is quantitative — partition time, skew, and shuffle
 // traffic per operator (§IV) — so every layer of the pipeline reports here:
-// mpsim ranks record spans in *virtual* seconds on their simulated clocks
-// (tid = rank), and code on the ranks adds named counters. The Recorder
-// keeps its counters in a MetricsRegistry it owns, so --metrics, the
-// trace's embedded summary and programmatic reads all see one store.
+// code on the ranks adds named counters, and the Recorder keeps them in a
+// MetricsRegistry it owns, so --metrics, the trace's embedded summary and
+// programmatic reads all see one store. Timelines (stages, messages,
+// barriers, MapReduce phases) live in the TraceRecorder alone (trace.hpp).
 //
 // One writer per quantity: the fault injector, checkpoint store, memory
 // budget and runtime count their own events, and the engine copies the
@@ -18,13 +18,11 @@
 //
 // Thread safety: a Recorder may be hammered concurrently by every simulated
 // rank and every pool worker. The runtime adds a traffic counter per remote
-// message, so add_counter is one registry lookup plus an atomic add; spans
-// are recorded at phase boundaries under one mutex.
+// message, so add_counter is one registry lookup plus an atomic add.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,30 +31,13 @@
 
 namespace papar::obs {
 
-/// One closed interval on some clock. `begin`/`end` are seconds in the
-/// recording domain (virtual rank time or wall time); `tid` names the trace
-/// timeline the span belongs to (simulated rank, pool worker, ...).
-struct SpanEvent {
-  std::string name;
-  std::string category;
-  int tid = 0;
-  double begin = 0.0;
-  double end = 0.0;
-
-  double duration() const { return end - begin; }
-};
-
-/// Thread-safe sink for spans and monotonically increasing counters.
+/// Thread-safe sink for monotonically increasing counters.
 class Recorder {
  public:
   void add_counter(std::string_view name, std::uint64_t delta = 1);
   /// The counter's value, or 0 for a name never added to; a read creates
   /// no series.
   std::uint64_t counter(std::string_view name) const;
-
-  void record_span(SpanEvent event);
-  std::vector<SpanEvent> spans() const;
-  std::size_t span_count() const;
 
   /// The registry behind the counters. The runtime resolves its message
   /// histograms here, and the engine exports the stage report and the
@@ -66,8 +47,6 @@ class Recorder {
 
  private:
   MetricsRegistry metrics_;
-  mutable std::mutex span_mutex_;
-  std::vector<SpanEvent> spans_;
 };
 
 // -- Stage reports ------------------------------------------------------------
@@ -225,7 +204,8 @@ struct StageReport {
   std::uint64_t stage_bytes_total() const;
 
   std::string to_json() const;
-  /// Inverse of to_json() (round-trip safe for every field).
+  /// Inverse of to_json() (round-trip safe for every field); throws
+  /// papar::DataError on malformed input.
   static StageReport from_json(std::string_view text);
 
   /// Aligned per-operator table plus a totals row, then one `key=value`
@@ -261,6 +241,7 @@ struct Value {
   std::vector<std::pair<std::string, Value>> object;  // insertion order kept
 
   const Value* find(std::string_view key) const;
+  /// The value under `key`; throws papar::DataError when there is none.
   const Value& at(std::string_view key) const;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -84,22 +85,38 @@ std::string TraceData::to_json() const {
 
 namespace {
 
+void expect(bool ok, const char* why) {
+  if (!ok) throw DataError(std::string("malformed trace: ") + why);
+}
+
+/// True for a whole number in [0, max].
+bool whole(const json::Value& v, double max) {
+  return v.kind == json::Value::Kind::kNumber && v.number >= 0.0 && v.number <= max &&
+         v.number == std::floor(v.number);
+}
+
 TraceData trace_from_value(const json::Value& root) {
-  PAPAR_CHECK_MSG(root.kind == json::Value::Kind::kObject,
-                  "trace JSON must be an object");
+  expect(root.kind == json::Value::Kind::kObject, "the trace must be an object");
   TraceData out;
-  out.nranks = static_cast<int>(root.at("nranks").number);
-  out.stages.clear();
-  for (const auto& s : root.at("stages").array) out.stages.push_back(s.string);
-  PAPAR_CHECK_MSG(!out.stages.empty(), "trace stage table is empty");
+  const json::Value& nranks = root.at("nranks");
+  expect(whole(nranks, std::numeric_limits<int>::max()), "nranks must be a non-negative integer");
+  out.nranks = static_cast<int>(nranks.number);
+  for (const auto& s : root.at("stages").array) {
+    expect(s.kind == json::Value::Kind::kString, "stage names must be strings");
+    out.stages.push_back(s.string);
+  }
+  expect(!out.stages.empty(), "the stage table is empty");
   const auto& ranks = root.at("events").array;
-  PAPAR_CHECK_MSG(static_cast<int>(ranks.size()) == out.nranks,
-                  "trace event table disagrees with nranks");
+  expect(static_cast<int>(ranks.size()) == out.nranks, "the event table disagrees with nranks");
   out.per_rank.resize(ranks.size());
   for (std::size_t r = 0; r < ranks.size(); ++r) {
     for (const auto& ev : ranks[r].array) {
-      PAPAR_CHECK_MSG(ev.array.size() == 14, "trace event tuple must have 14 fields");
       const auto& a = ev.array;
+      expect(a.size() == 14, "an event tuple must have 14 fields");
+      for (const auto& field : a) {
+        expect(field.kind == json::Value::Kind::kNumber, "event fields must be numbers");
+      }
+      expect(whole(a[0], static_cast<int>(TraceEventKind::kSpan)), "unknown event kind");
       TraceEvent e;
       e.kind = static_cast<TraceEventKind>(static_cast<int>(a[0].number));
       e.rank = static_cast<int>(r);
@@ -167,30 +184,6 @@ TraceData TraceRecorder::snapshot() const {
 
 // -- Chrome trace export ------------------------------------------------------
 
-namespace {
-
-const char* slice_name(const TraceEvent& e) {
-  switch (e.kind) {
-    case TraceEventKind::kSend: return e.retransmits > 0 ? "send+retry" : "send";
-    case TraceEventKind::kRecv: return "recv";
-    case TraceEventKind::kBarrier: return "barrier";
-    case TraceEventKind::kStageMark: return "stage";
-    case TraceEventKind::kRankDone: return "done";
-  }
-  return "?";
-}
-
-const char* slice_category(const TraceEvent& e) {
-  switch (e.kind) {
-    case TraceEventKind::kSend:
-    case TraceEventKind::kRecv: return "comm";
-    case TraceEventKind::kBarrier: return "barrier";
-    default: return "marker";
-  }
-}
-
-}  // namespace
-
 std::string to_chrome_trace(const TraceData& trace, const Recorder* recorder,
                             const StageReport* report) {
   const MetricsRegistry* metrics = recorder != nullptr ? &recorder->metrics() : nullptr;
@@ -202,30 +195,10 @@ std::string to_chrome_trace(const TraceData& trace, const Recorder* recorder,
     first = false;
   };
 
-  // Track names: every traced rank, plus every tid the span recorder saw.
-  std::vector<int> tids;
-  for (int r = 0; r < trace.nranks; ++r) tids.push_back(r);
-  std::vector<SpanEvent> span_events;
-  if (recorder != nullptr) {
-    span_events = recorder->spans();
-    for (const auto& s : span_events) {
-      if (std::find(tids.begin(), tids.end(), s.tid) == tids.end()) tids.push_back(s.tid);
-    }
-  }
-  std::sort(tids.begin(), tids.end());
-  for (const int tid : tids) {
+  for (int r = 0; r < trace.nranks; ++r) {
     sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-       << ",\"args\":{\"name\":" << json::quote("rank " + std::to_string(tid)) << "}}";
-  }
-
-  // Recorder spans (engine job spans, whole-rank spans) as complete slices.
-  for (const auto& s : span_events) {
-    sep();
-    os << "{\"name\":" << json::quote(s.name) << ",\"cat\":"
-       << json::quote(s.category.empty() ? std::string("papar") : s.category)
-       << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid << ",\"ts\":" << fmt(s.begin * 1e6)
-       << ",\"dur\":" << fmt(s.duration() * 1e6) << "}";
+    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << r
+       << ",\"args\":{\"name\":" << json::quote("rank " + std::to_string(r)) << "}}";
   }
 
   // Event slices + message flow arrows. A flow is emitted only when both
@@ -240,43 +213,79 @@ std::string to_chrome_trace(const TraceData& trace, const Recorder* recorder,
       }
     }
   }
-  for (const auto& rank_events : trace.per_rank) {
-    for (const auto& e : rank_events) {
+  // One track's complete slices as (start, JSON). A stage or span slice is
+  // recorded after the events it encloses, so each track is sorted by start.
+  std::vector<std::pair<double, std::string>> slices;
+  for (std::size_t r = 0; r < trace.per_rank.size(); ++r) {
+    slices.clear();
+    const auto slice = [&](double begin, double end, std::string_view name, const char* cat,
+                           const std::string& args) {
+      std::ostringstream x;
+      x << "{\"name\":" << json::quote(name) << ",\"cat\":\"" << cat
+        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << r << ",\"ts\":" << fmt(begin * 1e6)
+        << ",\"dur\":" << fmt((end - begin) * 1e6) << args << "}";
+      slices.emplace_back(begin, x.str());
+    };
+    // A stage slice runs from its mark to the rank's next mark, its
+    // kRankDone, or the end of its last event.
+    const TraceEvent* mark = nullptr;
+    const auto close_stage = [&](double end) {
+      if (mark != nullptr) slice(mark->begin, end, trace.stage_name(mark->stage), "stage", "");
+      mark = nullptr;
+    };
+    for (const auto& e : trace.per_rank[r]) {
       if (e.kind == TraceEventKind::kStageMark || e.kind == TraceEventKind::kRankDone) {
+        close_stage(e.begin);
+        if (e.kind == TraceEventKind::kStageMark) {
+          mark = &e;
+          continue;
+        }
         sep();
-        os << "{\"name\":"
-           << json::quote(e.kind == TraceEventKind::kStageMark
-                              ? "stage:" + trace.stage_name(e.stage)
-                              : std::string("rank done"))
-           << ",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" << e.rank
-           << ",\"ts\":" << fmt(e.end * 1e6) << "}";
+        os << "{\"name\":\"rank done\",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
+           << "\"tid\":" << r << ",\"ts\":" << fmt(e.end * 1e6) << "}";
         continue;
       }
-      sep();
-      os << "{\"name\":\"" << slice_name(e) << "\",\"cat\":\"" << slice_category(e)
-         << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.rank << ",\"ts\":" << fmt(e.begin * 1e6)
-         << ",\"dur\":" << fmt(e.duration() * 1e6) << ",\"args\":{";
-      if (e.kind == TraceEventKind::kBarrier) {
-        os << "\"generation\":" << e.barrier_gen;
-      } else {
-        os << "\"peer\":" << e.peer << ",\"bytes\":" << e.bytes << ",\"msg\":" << e.msg_id
-           << ",\"stage\":" << json::quote(trace.stage_name(e.stage));
-        if (e.kind == TraceEventKind::kRecv) os << ",\"blocked\":" << fmt(e.blocked);
-        if (e.retransmits > 0) os << ",\"retransmits\":" << e.retransmits;
-        if (e.duplicated) os << ",\"duplicated\":true";
+      if (e.kind == TraceEventKind::kSpan) {
+        slice(e.begin, e.end, trace.stage_name(e.sender_stage), "span", "");
+        continue;
       }
-      os << "}}";
-      if (e.kind == TraceEventKind::kSend && e.msg_id != 0 &&
-          e.msg_id < recvs_by_msg.size() && recvs_by_msg[e.msg_id] != nullptr) {
+      std::ostringstream args;
+      args << ",\"args\":{";
+      if (e.kind == TraceEventKind::kBarrier) {
+        args << "\"generation\":" << e.barrier_gen;
+      } else {
+        args << "\"peer\":" << e.peer << ",\"bytes\":" << e.bytes << ",\"msg\":" << e.msg_id
+             << ",\"stage\":" << json::quote(trace.stage_name(e.stage));
+        if (e.kind == TraceEventKind::kRecv) args << ",\"blocked\":" << fmt(e.blocked);
+        if (e.retransmits > 0) args << ",\"retransmits\":" << e.retransmits;
+        if (e.duplicated) args << ",\"duplicated\":true";
+      }
+      args << "}";
+      const bool send = e.kind == TraceEventKind::kSend;
+      const char* name = e.kind == TraceEventKind::kRecv ? "recv"
+                         : !send                         ? "barrier"
+                         : e.retransmits > 0             ? "send+retry"
+                                                         : "send";
+      slice(e.begin, e.end, name, send || e.kind == TraceEventKind::kRecv ? "comm" : "barrier",
+            args.str());
+      if (send && e.msg_id != 0 && e.msg_id < recvs_by_msg.size() &&
+          recvs_by_msg[e.msg_id] != nullptr) {
         const TraceEvent& rcv = *recvs_by_msg[e.msg_id];
         sep();
         os << "{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":" << e.msg_id
-           << ",\"pid\":1,\"tid\":" << e.rank << ",\"ts\":" << fmt(e.end * 1e6) << "}";
+           << ",\"pid\":1,\"tid\":" << r << ",\"ts\":" << fmt(e.end * 1e6) << "}";
         sep();
         os << "{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":"
            << e.msg_id << ",\"pid\":1,\"tid\":" << rcv.rank
            << ",\"ts\":" << fmt(rcv.end * 1e6) << "}";
       }
+    }
+    close_stage(trace.per_rank[r].empty() ? 0.0 : trace.per_rank[r].back().end);
+    std::stable_sort(slices.begin(), slices.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [ts, text] : slices) {
+      sep();
+      os << text;
     }
   }
 
@@ -314,7 +323,7 @@ void write_chrome_trace(const std::string& path, const TraceData& trace,
 TraceData load_trace_file(const std::string& path) {
   const json::Value root = json::parse(slurp_file(path));
   const json::Value* papar = root.find("papar");
-  PAPAR_CHECK_MSG(papar != nullptr, "trace file " + path + " has no `papar` section");
+  if (papar == nullptr) throw DataError("trace file " + path + " has no `papar` section");
   return trace_from_value(papar->at("trace"));
 }
 

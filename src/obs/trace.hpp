@@ -8,6 +8,9 @@
 // everyone released). Compute is *implicit* — the gap between consecutive
 // events on a rank — which keeps the tracing hot path to one vector
 // push_back per communication operation and zero work per computed byte.
+// Named phases (the MapReduce map, shuffle, reduce and sample sort) are
+// kSpan events on the same per-rank timelines; they annotate the graph for
+// the Chrome export and are not part of it, so every analysis skips them.
 //
 // critpath.hpp consumes the graph to compute the critical path, per-stage
 // skew tables, and per-link traffic matrices; this header owns recording
@@ -45,6 +48,10 @@ enum class TraceEventKind : std::uint8_t {
   kStageMark = 3,
   /// Zero-length marker: the rank's body returned; end = final clock.
   kRankDone = 4,
+  /// A named phase: begin/end = clocks when it opened/closed. Its name is a
+  /// stage-table id carried in `sender_stage`. Recorded when it closes,
+  /// after the events it encloses, so every analysis skips it.
+  kSpan = 5,
 };
 
 /// One node of the happens-before graph. All times are virtual seconds.
@@ -63,7 +70,8 @@ struct TraceEvent {
   /// context. A recv with msg_id 0 matched a message sent while tracing was
   /// off.
   std::uint64_t msg_id = 0;
-  /// Recv only: the *sender's* stage, carried in the message context.
+  /// Recv: the *sender's* stage, carried in the message context. kSpan:
+  /// the span's name, as a stage-table id.
   std::uint32_t sender_stage = 0;
   /// Recv only: virtual seconds the receiver sat blocked before the payload
   /// arrived (0 when the message was already waiting).
@@ -117,8 +125,6 @@ class TraceRecorder {
   /// Interns a stage name (registry shared across runs).
   std::uint32_t stage_id(std::string_view name);
 
-  int nranks() const { return nranks_; }
-
   /// Copies the recorded graph out for analysis. Only valid outside run().
   TraceData snapshot() const;
 
@@ -130,12 +136,13 @@ class TraceRecorder {
   std::vector<std::string> stages_{""};
 };
 
-/// Chrome trace_event JSON for the traced run: per-rank "rank N" tracks
-/// with one complete slice per send/recv/barrier event and one flow arrow
-/// ("ph":"s"/"f") per matched message edge, so Perfetto draws messages as
-/// arrows between rank tracks. `recorder` (optional) contributes its spans
-/// (engine job spans, whole-rank spans), its gauge timelines as counter
-/// events, and its metrics summary. The returned document also embeds the
+/// Chrome trace_event JSON for the traced run. Each rank's "rank N" track
+/// holds one complete slice per stage (from its stage mark to the next mark
+/// or to kRankDone), per kSpan, and per send/recv/barrier event, in
+/// nondecreasing start order, plus one flow arrow ("ph":"s"/"f") per
+/// matched message edge, so Perfetto draws messages as arrows between rank
+/// tracks. `recorder` (optional) contributes its gauge timelines as counter
+/// events and its metrics summary. The returned document also embeds the
 /// full event graph (and, when given, the stage report and metrics summary)
 /// under the top-level "papar" key — Perfetto ignores unknown keys, so one
 /// artifact serves both the viewer and `papar_trace`.
@@ -147,7 +154,8 @@ void write_chrome_trace(const std::string& path, const TraceData& trace,
                         const Recorder* recorder, const StageReport* report);
 
 /// Loads the "papar" section back out of a file written by
-/// write_chrome_trace(). Throws papar::DataError if the file has none.
+/// write_chrome_trace(). Throws papar::DataError if the file has none or
+/// it is malformed.
 TraceData load_trace_file(const std::string& path);
 
 /// Loads the embedded stage report from a trace file, if present.

@@ -570,38 +570,42 @@ TEST(Engine, StageReportRoundTripsThroughJson) {
   }
 }
 
-TEST(Engine, RecorderCapturesJobSpansAndTraffic) {
+TEST(Engine, TraceMarksJobsAndRecorderCountsTraffic) {
   WorkflowEngine engine(
       parse_workflow(xml::parse(kBlastWorkflow)),
       {{"blast_db", schema::parse_input_spec(xml::parse(kBlastInputSpec))}},
       {{"input_path", "db.bin"}, {"output_path", "out"}, {"num_partitions", "4"}});
   mp::Runtime rt(4, mp::NetworkModel::zero());
   obs::Recorder rec;
+  obs::TraceRecorder tracer;
   rt.set_recorder(&rec);
+  rt.set_tracer(&tracer);
   const auto result = engine.run(rt, {{"db.bin", make_blast_content(300, 21)}});
   rt.set_recorder(nullptr);
+  rt.set_tracer(nullptr);
 
-  // One "job:<id>" span per operator per rank, plus one whole-run span per
-  // rank, all on virtual clocks.
-  int job_sort = 0;
-  int job_distr = 0;
-  int rank_spans = 0;
-  for (const auto& span : rec.spans()) {
-    EXPECT_GE(span.duration(), 0.0);
-    if (span.name == "job:sort") ++job_sort;
-    if (span.name == "job:distr") ++job_distr;
-    if (span.name == "rank") ++rank_spans;
+  // Every rank's timeline opens each job with one stage mark and ends with
+  // one kRankDone, all on virtual clocks.
+  const obs::TraceData trace = tracer.snapshot();
+  ASSERT_EQ(trace.per_rank.size(), 4u);
+  for (const auto& events : trace.per_rank) {
+    std::map<std::string, int> marks;
+    int done = 0;
+    for (const auto& e : events) {
+      EXPECT_GE(e.duration(), 0.0);
+      if (e.kind == obs::TraceEventKind::kStageMark) ++marks[trace.stage_name(e.stage)];
+      if (e.kind == obs::TraceEventKind::kRankDone) ++done;
+    }
+    EXPECT_EQ(marks["job:sort"], 1);
+    EXPECT_EQ(marks["job:distr"], 1);
+    EXPECT_EQ(done, 1);
   }
-  EXPECT_EQ(job_sort, 4);
-  EXPECT_EQ(job_distr, 4);
-  EXPECT_EQ(rank_spans, 4);
   // The exported run total is the pre-output snapshot the stats carry.
   EXPECT_EQ(rec.counter("remote_bytes"), result.stats.remote_bytes);
   EXPECT_GT(rec.counter("mr.shuffle.records"), 0u);
-  // The trace export, spans included, is loadable by the bundled parser.
-  const auto trace =
-      obs::json::parse(obs::to_chrome_trace(obs::TraceData{}, &rec, &result.report));
-  EXPECT_GT(trace.at("traceEvents").array.size(), 0u);
+  // The trace export is loadable by the bundled parser.
+  const auto doc = obs::json::parse(obs::to_chrome_trace(trace, &rec, &result.report));
+  EXPECT_GT(doc.at("traceEvents").array.size(), 0u);
 }
 
 }  // namespace

@@ -130,9 +130,8 @@ TEST(GoldenDigest, HybridCut16Ranks) {
   expect_golden(hybrid_cut(), 10908799992355334269ULL, /*spills=*/true);
 }
 
-// At 4 ranks each rank holds ~15K edges, past sortlib::kRadixAutoCutoff,
-// so the default run's grouping and distribute sorts take the radix path;
-// at 16 ranks they stay below it. Partitions do not depend on the rank
+// At 4 ranks each rank's grouping and distribute sorts order ~15K edges,
+// four times the 16-rank pages. Partitions do not depend on the rank
 // count, so the digest equals the 16-rank one.
 TEST(GoldenDigest, HybridCutRadixScale4Ranks) {
   EXPECT_GT(expect_golden(hybrid_cut(), 10908799992355334269ULL, /*spills=*/true,

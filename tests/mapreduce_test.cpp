@@ -477,8 +477,8 @@ void expect_tie_break_total_order(int p, std::size_t per_rank, bool ascending,
 }
 
 TEST(MapReduce, SampleSortTieBreakBytesTotalOrderOnTheRadixPath) {
-  // Every rank ends past sortlib::kRadixAutoCutoff, so the final local sort
-  // orders ties by the minor word first and the byte comparator after.
+  // Every rank ends with about 12000 records, so the final local sort
+  // orders many ties by the minor word first and the byte comparator after.
   for (const bool ascending : {true, false}) {
     SCOPED_TRACE(ascending ? "ascending" : "descending");
     expect_tie_break_total_order(4, 12000, ascending, /*radix_sorts=*/4);
@@ -486,8 +486,9 @@ TEST(MapReduce, SampleSortTieBreakBytesTotalOrderOnTheRadixPath) {
 }
 
 TEST(MapReduce, SampleSortTieBreakBytesTotalOrderAt64Ranks) {
-  // Rank 0 picks 63 composite splitters from the gathered sample.
-  expect_tie_break_total_order(64, 300, /*ascending=*/true, /*radix_sorts=*/0);
+  // Rank 0 picks 63 composite splitters from the gathered sample, and each
+  // rank's small final page takes the radix column too.
+  expect_tie_break_total_order(64, 300, /*ascending=*/true, /*radix_sorts=*/64);
 }
 
 TEST(MapReduce, SampleSortBroadcastsOnlyTheSplitters) {

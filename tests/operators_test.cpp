@@ -252,11 +252,11 @@ TEST(GroupDifferential, MatchesHostReferenceByteForByte) {
   packed.compress = true;
   GroupArgs orig = packed;
   orig.output_format = DataFormat::kOrig;
-  for (const bool budgeted : {false, true}) {
-    // Unbudgeted, the heavy key's rank sorts by radix. Under the budget a
-    // reduce emits each group whole, so the heavy group (half the records)
-    // must fit in the 128 KiB hard limit.
-    const std::vector<Record> recs = group_key_records(budgeted ? 4000 : 20000, 11);
+  const auto check = [&](const std::vector<Record>& recs, int p, const GroupArgs& args,
+                         bool budgeted) {
+    SCOPED_TRACE(testing::Message() << recs.size() << " records, " << p
+                                    << " ranks, budgeted=" << budgeted << ", packed="
+                                    << (args.output_format == DataFormat::kPacked));
     // What the shuffle would carry with every record copied under its key.
     std::uint64_t rekeyed_wire = 0;
     std::uint64_t key_bytes = 0;
@@ -266,37 +266,45 @@ TEST(GroupDifferential, MatchesHostReferenceByteForByte) {
       rekeyed_wire += 2 * sizeof(std::uint32_t) + klen + wire.size();
       key_bytes += klen;
     }
+    std::filesystem::remove_all(spill_dir);
+    constexpr std::size_t kBudget = 128u << 10;
+    MemoryBudget budget({.hard_limit = kBudget,
+                         .soft_limit = kBudget / 5 * 4,
+                         .mailbox_limit = kBudget / 4,
+                         .spill_dir = spill_dir.string()});
+    obs::Recorder recorder;
+    mp::Runtime rt(p, mp::NetworkModel::zero());
+    rt.set_recorder(&recorder);
+    if (budgeted) rt.set_memory_budget(&budget);
+    std::vector<std::vector<unsigned char>> pages(static_cast<std::size_t>(p));
+    rt.run([&](mp::Comm& comm) {
+      Dataset ds = slice_of(s, recs, comm.rank(), comm.size());
+      group_op(comm, ds, args);
+      pages[static_cast<std::size_t>(comm.rank())] = ds.page.bytes();
+    });
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(pages[static_cast<std::size_t>(r)], group_reference(s, recs, r, p, args))
+          << "rank " << r;
+    }
+    EXPECT_EQ(recorder.counter("mr.shuffle.wire_bytes"), rekeyed_wire - key_bytes);
+    // One rank holds every record, past the soft watermark.
+    if (budgeted && p == 1) {
+      EXPECT_GT(budget.spill_bytes(), 0u);
+    }
+  };
+  for (const bool budgeted : {false, true}) {
+    // Unbudgeted, the heavy key's rank sorts by radix. Under the budget a
+    // packed group is one record, so the heavy group (half the records)
+    // must fit in the 128 KiB hard limit.
+    const std::vector<Record> recs = group_key_records(budgeted ? 4000 : 20000, 11);
     for (const int p : {1, 3, 16, 64}) {
-      for (const GroupArgs& args : {packed, orig}) {
-        SCOPED_TRACE(testing::Message() << p << " ranks, budgeted=" << budgeted
-                                        << ", packed="
-                                        << (args.output_format == DataFormat::kPacked));
-        std::filesystem::remove_all(spill_dir);
-        constexpr std::size_t kBudget = 128u << 10;
-        MemoryBudget budget({.hard_limit = kBudget,
-                             .soft_limit = kBudget / 5 * 4,
-                             .mailbox_limit = kBudget / 4,
-                             .spill_dir = spill_dir.string()});
-        obs::Recorder recorder;
-        mp::Runtime rt(p, mp::NetworkModel::zero());
-        rt.set_recorder(&recorder);
-        if (budgeted) rt.set_memory_budget(&budget);
-        std::vector<std::vector<unsigned char>> pages(static_cast<std::size_t>(p));
-        rt.run([&](mp::Comm& comm) {
-          Dataset ds = slice_of(s, recs, comm.rank(), comm.size());
-          group_op(comm, ds, args);
-          pages[static_cast<std::size_t>(comm.rank())] = ds.page.bytes();
-        });
-        for (int r = 0; r < p; ++r) {
-          EXPECT_EQ(pages[static_cast<std::size_t>(r)], group_reference(s, recs, r, p, args))
-              << "rank " << r;
-        }
-        EXPECT_EQ(recorder.counter("mr.shuffle.wire_bytes"), rekeyed_wire - key_bytes);
-        // One rank holds all 4000 records, past the soft watermark.
-        if (budgeted && p == 1) EXPECT_GT(budget.spill_bytes(), 0u);
-      }
+      for (const GroupArgs& args : {packed, orig}) check(recs, p, args, budgeted);
     }
   }
+  // Record-by-record output spills after any record, so the heavy group of
+  // 20000 records, whose output alone is over three times the hard limit,
+  // completes under the budget on one rank.
+  check(group_key_records(20000, 11), 1, orig, true);
   std::filesystem::remove_all(spill_dir);
 }
 

@@ -1,10 +1,11 @@
 // Differential tests of MapReduce's local-sort entry point: sort_by_key and
 // the grouping order reduce() builds on it, on both sort engines and on the
 // budget-spill path, against std::stable_sort with the record comparators
-// the operators used before the entry point existed. Sizes straddle
-// sortlib::kRadixAutoCutoff so the dispatch takes both engines. The sample
-// sort's splitter pick, which orders its sample through the same radix
-// column, is checked against a comparator sort of the whole sample.
+// the operators used before the entry point existed. Sizes run from an
+// empty page to 50000 records; unbudgeted, every page takes the radix
+// column. The sample sort's splitter pick, which orders its sample through
+// the same radix column, is checked against a comparator sort of the whole
+// sample.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include "mapreduce/sort_column.hpp"
 #include "mpsim/runtime.hpp"
 #include "obs/obs.hpp"
-#include "sortlib/sort.hpp"
 #include "util/membudget.hpp"
 #include "util/rng.hpp"
 
@@ -249,13 +249,11 @@ Records regrouped_by_value_key(const Records& input) {
   return want;
 }
 
-/// Checks an outcome and that the dispatch took radix exactly at or past
-/// the cutoff.
-void expect_outcome(const Outcome& got, const Records& want, std::size_t n) {
+/// Checks an outcome and that the dispatch took the radix column.
+void expect_outcome(const Outcome& got, const Records& want) {
   EXPECT_EQ(got.bytes, page_bytes(want));
-  const bool radix = n >= sortlib::kRadixAutoCutoff;
-  EXPECT_EQ(got.radix_sorts, radix ? 1u : 0u);
-  EXPECT_EQ(got.merge_sorts, radix ? 0u : 1u);
+  EXPECT_EQ(got.radix_sorts, 1u);
+  EXPECT_EQ(got.merge_sorts, 0u);
 }
 
 TEST(SortByKey, ReduceGroupsInKeyByteOrderUnderEveryEngine) {
@@ -264,7 +262,7 @@ TEST(SortByKey, ReduceGroupsInKeyByteOrderUnderEveryEngine) {
     const Records input = byte_key_records(n, 31 + n);
     const Records want = stable_sorted(
         input, [](const Record& a, const Record& b) { return a.first < b.first; });
-    expect_outcome(run_op(input, nullptr, regroup), want, n);
+    expect_outcome(run_op(input, nullptr, regroup), want);
   }
 }
 
@@ -273,7 +271,7 @@ TEST(SortByKey, ReduceThroughProjectionOrdersKeysAroundSixteenBytes) {
     SCOPED_TRACE(testing::Message() << "n=" << n);
     const Records input = long_key_records(n, 97 + n);
     expect_outcome(run_op(input, nullptr, regroup_by_value_key),
-                   regrouped_by_value_key(input), n);
+                   regrouped_by_value_key(input));
   }
 }
 
@@ -286,7 +284,7 @@ TEST(SortByKey, DistributeOrderMatchesComparatorUnderEveryEngine) {
                           [](MapReduce& mr) {
                             mr.sort_by_key(distribute_sort_key, TieBreak::kValue);
                           }),
-                   want, n);
+                   want);
   }
 }
 
@@ -311,11 +309,11 @@ TEST(SortByKey, ProjectionTieBreaksMatchComparatorUnderEveryEngine) {
     SCOPED_TRACE(testing::Message() << "n=" << n);
     expect_outcome(
         run_op(input, nullptr, [&](MapReduce& mr) { mr.sort_by_key(key, TieBreak::kNone); }),
-        want_stable, n);
+        want_stable);
     expect_outcome(
         run_op(input, nullptr,
                [&](MapReduce& mr) { mr.sort_by_key(key, TieBreak::kKeyValue); }),
-        want_total, n);
+        want_total);
   }
 }
 
@@ -344,7 +342,7 @@ TEST(SortByKey, BudgetPastSoftWatermarkSpillsByteIdentically) {
     const Records long_input = long_key_records(n, 101 + n);
     const Outcome long_grouped = run_op(long_input, &budget, regroup_by_value_key);
     EXPECT_EQ(long_grouped.bytes, page_bytes(regrouped_by_value_key(long_input)));
-    if (n >= sortlib::kRadixAutoCutoff) {
+    if (detail::column_bytes(n) > budget.config().soft_limit) {
       EXPECT_EQ(sorted.radix_sorts, 0u);
       EXPECT_EQ(grouped.radix_sorts, 0u);
       EXPECT_EQ(long_grouped.radix_sorts, 0u);

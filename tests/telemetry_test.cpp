@@ -668,8 +668,7 @@ TEST(OneWriter, DetachedRecorderObservesNoHistogram) {
 }
 
 TEST(OneWriter, BenchmarkCounterNamesAreWrittenOnce) {
-  // Past the radix cutoff on both ranks, so each rank's one local sort
-  // takes radix.
+  // Each rank's one local sort takes radix.
   const std::string content = pairs_content(30000, 33);
   obs::Recorder recorder;
   mp::Runtime rt(2, mp::NetworkModel::zero());

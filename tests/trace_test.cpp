@@ -3,12 +3,15 @@
 // The hand-built graphs pin the critical-path walk down to exact segment
 // boundaries; the engine-run tests assert the subsystem's core invariant —
 // the attributed path tiles the makespan — plus agreement between the
-// event graph and the runtime's own traffic counters; the export tests
+// event graph and the runtime's own traffic counters, and that the
+// MapReduce phase spans change no analysis; the export tests
 // schema-validate the Chrome trace (flow events pair up, per-track
 // timestamps are monotone) and round-trip the Prometheus text through a
 // small parser.
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
@@ -24,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace papar::obs {
 namespace {
@@ -224,6 +228,49 @@ TEST(TraceData, JsonRoundTrip) {
   }
 }
 
+// Every malformed document raises DataError, the error trace.hpp promises
+// for a trace file, never an internal check failure.
+TEST(TraceData, MalformedDocumentsRaiseDataError) {
+  const auto doc = [](const std::string& nranks, const std::string& stages,
+                      const std::string& events) {
+    return "{\"nranks\":" + nranks + ",\"stages\":" + stages + ",\"events\":" + events +
+           "}";
+  };
+  const auto one_event = [&](const std::string& kind) {
+    return doc("1", "[\"\"]", "[[[" + kind + ",0,0,0,0,-1,0,0,0,0,0,0,0,0]]]");
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"root is not an object", "[]"},
+      {"nranks missing", "{\"stages\":[\"\"],\"events\":[]}"},
+      {"nranks negative", doc("-1", "[\"\"]", "[]")},
+      {"nranks fractional", doc("1.5", "[\"\"]", "[[]]")},
+      {"nranks a string", doc("\"1\"", "[\"\"]", "[[]]")},
+      {"stage table empty", doc("0", "[]", "[]")},
+      {"stage name not a string", doc("1", "[0]", "[[]]")},
+      {"event table disagrees with nranks", doc("2", "[\"\"]", "[[]]")},
+      {"tuple 3 wide", doc("1", "[\"\"]", "[[[0,0,0]]]")},
+      {"tuple field not a number", one_event("\"0\"")},
+      {"kind past the enum", one_event("6")},
+      {"kind negative", one_event("-1")},
+      {"kind fractional", one_event("2.5")},
+  };
+  for (const auto& [why, text] : cases) {
+    EXPECT_THROW((void)TraceData::from_json(text), DataError) << why;
+  }
+  // The same shapes with valid values parse, a kSpan included.
+  EXPECT_EQ(TraceData::from_json(one_event("5")).per_rank[0][0].kind, TraceEventKind::kSpan);
+
+  EXPECT_THROW((void)StageReport::from_json("[]"), DataError);
+  EXPECT_THROW((void)StageReport::from_json("{}"), DataError);
+
+  const auto path = std::filesystem::temp_directory_path() / "papar_trace_malformed.json";
+  for (const char* text : {"{\"traceEvents\":[]}", "{\"papar\":{}}"}) {
+    std::ofstream(path) << text;
+    EXPECT_THROW((void)load_trace_file(path.string()), DataError) << text;
+  }
+  std::filesystem::remove(path);
+}
+
 // -- Engine-run invariants ----------------------------------------------------
 
 class TracedRun : public ::testing::Test {
@@ -356,6 +403,112 @@ TEST_F(TracedRun, ChromeTraceSchema) {
   const TraceData back = TraceData::from_json(json::dump(papar.at("trace")));
   EXPECT_EQ(back.event_count(), trace_->event_count());
   EXPECT_DOUBLE_EQ(back.makespan(), trace_->makespan());
+}
+
+/// `trace` with every kSpan event removed.
+TraceData without_spans(const TraceData& trace) {
+  TraceData out = trace;
+  for (auto& events : out.per_rank) {
+    std::erase_if(events, [](const TraceEvent& e) { return e.kind == TraceEventKind::kSpan; });
+  }
+  return out;
+}
+
+TEST_F(TracedRun, SpansChangeNoAnalysis) {
+  // The MapReduce phases of every rank are on the trace.
+  for (const auto& events : trace_->per_rank) {
+    std::set<std::string> phases;
+    for (const auto& e : events) {
+      if (e.kind == TraceEventKind::kSpan) phases.insert(trace_->stage_name(e.sender_stage));
+    }
+    EXPECT_TRUE(phases.count("mr.sample_sort"));
+    EXPECT_TRUE(phases.count("mr.shuffle"));
+  }
+  const TraceData bare = without_spans(*trace_);
+  ASSERT_LT(bare.event_count(), trace_->event_count());
+
+  const CriticalPath path = critical_path(*trace_);
+  const CriticalPath bare_path = critical_path(bare);
+  EXPECT_EQ(path.total, trace_->makespan());
+  EXPECT_EQ(path.total, bare_path.total);
+  EXPECT_EQ(path.by_stage, bare_path.by_stage);
+  EXPECT_EQ(path.by_kind, bare_path.by_kind);
+  ASSERT_EQ(path.segments.size(), bare_path.segments.size());
+  for (std::size_t i = 0; i < path.segments.size(); ++i) {
+    const PathSegment& a = path.segments[i];
+    const PathSegment& b = bare_path.segments[i];
+    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.rank, b.rank) << i;
+    EXPECT_EQ(a.stage, b.stage) << i;
+    EXPECT_EQ(a.begin, b.begin) << i;
+    EXPECT_EQ(a.end, b.end) << i;
+    EXPECT_EQ(a.peer, b.peer) << i;
+  }
+
+  const auto rows = skew_table(*trace_);
+  const auto bare_rows = skew_table(bare);
+  ASSERT_EQ(rows.size(), bare_rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].stage, bare_rows[i].stage);
+    EXPECT_EQ(rows[i].max_busy, bare_rows[i].max_busy) << rows[i].stage;
+    EXPECT_EQ(rows[i].mean_busy, bare_rows[i].mean_busy) << rows[i].stage;
+    EXPECT_EQ(rows[i].straggler, bare_rows[i].straggler) << rows[i].stage;
+    EXPECT_EQ(rows[i].skew, bare_rows[i].skew) << rows[i].stage;
+    ASSERT_EQ(rows[i].per_rank.size(), bare_rows[i].per_rank.size());
+    for (std::size_t r = 0; r < rows[i].per_rank.size(); ++r) {
+      EXPECT_EQ(rows[i].per_rank[r].compute, bare_rows[i].per_rank[r].compute);
+      EXPECT_EQ(rows[i].per_rank[r].comm, bare_rows[i].per_rank[r].comm);
+      EXPECT_EQ(rows[i].per_rank[r].blocked, bare_rows[i].per_rank[r].blocked);
+    }
+  }
+  EXPECT_EQ(link_matrix(*trace_), link_matrix(bare));
+}
+
+TEST_F(TracedRun, ChromeTraceDrawsStagesAndPhases) {
+  const json::Value doc = json::parse(to_chrome_trace(*trace_, nullptr, &result_->report));
+  std::map<int, std::map<std::string, int>> stages;  // tid -> stage slice counts
+  std::map<int, std::map<std::string, int>> spans;   // tid -> span slice counts
+  for (const json::Value& e : doc.at("traceEvents").array) {
+    if (e.at("ph").string != "X") continue;
+    const int tid = static_cast<int>(e.at("tid").number);
+    const std::string& cat = e.at("cat").string;
+    if (cat == "stage") ++stages[tid][e.at("name").string];
+    if (cat == "span") ++spans[tid][e.at("name").string];
+  }
+  const std::map<std::string, int> workflow = {
+      {"setup", 1}, {"job:sort", 1}, {"job:distr", 1}, {"output", 1}};
+  for (int r = 0; r < trace_->nranks; ++r) {
+    SCOPED_TRACE(testing::Message() << "rank " << r);
+    EXPECT_EQ(stages[r], workflow);
+    std::map<std::string, int> want;
+    for (const auto& e : trace_->per_rank[static_cast<std::size_t>(r)]) {
+      if (e.kind == TraceEventKind::kSpan) ++want[trace_->stage_name(e.sender_stage)];
+    }
+    EXPECT_EQ(spans[r], want);
+    EXPECT_TRUE(want.count("mr.sample_sort"));
+  }
+}
+
+TEST_F(TracedRun, JsonRoundTripKeepsEverySpan) {
+  const TraceData back = TraceData::from_json(trace_->to_json());
+  ASSERT_EQ(back.per_rank.size(), trace_->per_rank.size());
+  std::size_t spans = 0;
+  for (std::size_t r = 0; r < back.per_rank.size(); ++r) {
+    ASSERT_EQ(back.per_rank[r].size(), trace_->per_rank[r].size());
+    for (std::size_t i = 0; i < back.per_rank[r].size(); ++i) {
+      const TraceEvent& a = trace_->per_rank[r][i];
+      const TraceEvent& b = back.per_rank[r][i];
+      if (a.kind != TraceEventKind::kSpan) continue;
+      ++spans;
+      EXPECT_EQ(b.kind, TraceEventKind::kSpan);
+      EXPECT_EQ(b.stage, a.stage);
+      EXPECT_EQ(b.attempt, a.attempt);
+      EXPECT_EQ(b.begin, a.begin);
+      EXPECT_EQ(b.end, a.end);
+      EXPECT_EQ(back.stage_name(b.sender_stage), trace_->stage_name(a.sender_stage));
+    }
+  }
+  EXPECT_GT(spans, 0u);
 }
 
 // -- Prometheus exposition ----------------------------------------------------

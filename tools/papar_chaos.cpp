@@ -13,12 +13,15 @@
 //        unrecoverable fault schedules).
 //
 // Anything else — a digest mismatch, an untyped exception, an OOM kill, a
-// hang — fails the harness. Budgets are derived from a measured
-// high-water probe of each workload (generous = 2x peak, tight = peak/4,
-// tiny = peak/16), so the matrix stays meaningful as the workloads evolve.
-// The harness also checks that its private spill directory is empty after
-// every cell: spill files must never outlive the operation that wrote
-// them, even on the error paths.
+// hang — fails the harness. Each workload has fixed budget tiers per scale,
+// chosen from measured thresholds with a margin on both sides, so every
+// cell's outcome is a constant: generous never spills, every tight cell
+// spills and completes, and every tiny cell fails with BudgetExceededError.
+// A tight cell that does not spill or a tiny cell that does not fail on its
+// budget fails the harness: the workload's peak moved and the tiers must be
+// measured again. The harness also checks that its private spill directory
+// is empty after every cell: spill files must never outlive the operation
+// that wrote them, even on the error paths.
 //
 // A second matrix exercises localized crash recovery (DESIGN.md §16): a
 // fail-stop crash placed proportionally at every stage of both workflows,
@@ -43,6 +46,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -93,19 +97,38 @@ struct RunOutcome {
   obs::FaultStats faults;
 };
 
-/// `nranks` is the simulated rank count; the partition count stays tied to
-/// opt.nodes so digests are comparable across rank counts (the fiber soak
-/// below runs the same cells at hundreds of ranks).
-using Workload = std::function<RunOutcome(std::uint64_t seed, int nranks,
-                                          core::EngineOptions options,
-                                          mp::FaultInjector* faults)>;
+/// One workload of the matrix and its per-rank budget tiers. `run` takes
+/// the simulated rank count; the partition count stays tied to opt.nodes
+/// so digests are comparable across rank counts (the fiber soak below runs
+/// the same cells at hundreds of ranks).
+struct Workload {
+  const char* name;
+  std::function<RunOutcome(std::uint64_t seed, int nranks, core::EngineOptions options,
+                           mp::FaultInjector* faults)>
+      run;
+  std::size_t generous;  // no cell spills
+  std::size_t tight;     // every cell spills and completes
+  std::size_t tiny;      // every cell fails with BudgetExceededError
+};
 
+constexpr std::size_t kKiB = 1024;
+
+// The tiers sit between thresholds measured at 4 nodes on every seed and
+// fault plan of the matrix, at least 1.5x from each. Quick hybrid cells
+// fail on their budget at <= 72 KB, spill at 83-193 KB and run unspilled
+// from 222 KB; full-scale hybrid at <= 690 KB, 794 KB-2.09 MB and from
+// 2.43 MB. Blast fails at <= 14.6 KB quick and <= 15.7 KB full (its
+// external sort takes a 16 KiB run), spills from 16.8 KB to 44.8 KB quick
+// and from 18.1 KB to 224 KB full, and runs unspilled from 52 KB quick and
+// 258 KB full.
 Workload make_hybrid_workload(const ChaosOptions& opt) {
   const graph::VertexId vertices = opt.quick ? 2000 : 20000;
   const std::size_t edges = opt.quick ? 20000 : 200000;
   const int nodes = opt.nodes;
-  return [=](std::uint64_t seed, int nranks, core::EngineOptions options,
-             mp::FaultInjector* faults) {
+  Workload w{"hybrid", {}, (opt.quick ? 1024 : 8192) * kKiB, (opt.quick ? 124 : 1280) * kKiB,
+             (opt.quick ? 32 : 256) * kKiB};
+  w.run = [=](std::uint64_t seed, int nranks, core::EngineOptions options,
+              mp::FaultInjector* faults) {
     graph::ZipfGraphOptions gopt;
     gopt.num_vertices = vertices;
     gopt.num_edges = edges;
@@ -123,13 +146,15 @@ Workload make_hybrid_workload(const ChaosOptions& opt) {
     out.faults = result.report.faults;
     return out;
   };
+  return w;
 }
 
 Workload make_blast_workload(const ChaosOptions& opt) {
   const std::size_t sequences = opt.quick ? 4000 : 20000;
   const int nodes = opt.nodes;
-  return [=](std::uint64_t seed, int nranks, core::EngineOptions options,
-             mp::FaultInjector* faults) {
+  Workload w{"blast", {}, 1024 * kKiB, 28 * kKiB, 8 * kKiB};
+  w.run = [=](std::uint64_t seed, int nranks, core::EngineOptions options,
+              mp::FaultInjector* faults) {
     blast::GeneratorOptions gopt = blast::env_nr_like();
     gopt.sequence_count = sequences;
     gopt.seed = seed;
@@ -152,6 +177,7 @@ Workload make_blast_workload(const ChaosOptions& opt) {
     out.faults = result.report.faults;
     return out;
   };
+  return w;
 }
 
 struct Tally {
@@ -168,9 +194,9 @@ struct Tally {
   std::uint64_t corruptions = 0;
 };
 
-/// A budget tier of the matrix, derived from the workload's measured peak.
+/// A budget tier of the matrix.
 struct BudgetTier {
-  const char* name;
+  std::string_view name;
   std::size_t bytes;  // 0 = ungoverned
 };
 
@@ -213,10 +239,8 @@ int run_chaos(int argc, char** argv) {
   if (opt.seeds < 1) throw ConfigError("--seeds must be >= 1");
   if (opt.quick) opt.seeds = 1;
 
-  const std::vector<std::pair<const char*, Workload>> workloads = {
-      {"hybrid", make_hybrid_workload(opt)},
-      {"blast", make_blast_workload(opt)},
-  };
+  const std::vector<Workload> workloads = {make_hybrid_workload(opt),
+                                           make_blast_workload(opt)};
   // Fault plans stress distinct recovery paths: lossy fabric (retransmit),
   // reordering/duplication (dedup), and mid-run crashes (checkpoint
   // recovery) — alone and combined with drops.
@@ -233,38 +257,19 @@ int run_chaos(int argc, char** argv) {
       ("papar-chaos-" + std::to_string(static_cast<long>(::getpid())));
 
   Tally tally;
-  for (const auto& [wl_name, workload] : workloads) {
+  for (const Workload& wl : workloads) {
     for (int s = 0; s < opt.seeds; ++s) {
       const std::uint64_t seed = 1 + static_cast<std::uint64_t>(s) * 7919;
-
-      // Baseline digest (no faults, no budget) and high-water probe (a
-      // generous budget that neither spills nor throws, but measures the
-      // peak so the tight tiers mean the same thing on every workload).
-      const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
-      core::EngineOptions probe_options;
-      probe_options.mem_budget = std::size_t{1} << 30;
-      probe_options.spill_dir = (spill_root / "probe").string();
-      const RunOutcome probe = workload(seed, opt.nodes, probe_options, nullptr);
-      if (probe.digest != baseline.digest) {
-        std::fprintf(stderr, "FAIL %s seed=%llu: probe digest mismatch\n",
-                     wl_name, static_cast<unsigned long long>(seed));
-        ++tally.failed;
-        continue;
-      }
-      const std::size_t peak = probe.memory.high_water_bytes;
+      const RunOutcome baseline = wl.run(seed, opt.nodes, {}, nullptr);
       const std::vector<BudgetTier> tiers = {
-          {"off", 0},
-          {"generous", peak * 2},
-          {"tight", peak / 4},
-          {"tiny", peak / 16},
-      };
+          {"off", 0}, {"generous", wl.generous}, {"tight", wl.tight}, {"tiny", wl.tiny}};
 
       for (const auto& [plan_name, plan_spec] : plans) {
         for (const auto& tier : tiers) {
           core::EngineOptions options;
           options.mem_budget = tier.bytes;
           const std::filesystem::path cell_dir =
-              spill_root / (std::string(wl_name) + "-" + plan_name + "-" + tier.name);
+              spill_root / (std::string(wl.name) + "-" + plan_name + "-" + std::string(tier.name));
           if (tier.bytes > 0) options.spill_dir = cell_dir.string();
 
           std::optional<mp::FaultInjector> injector;
@@ -274,43 +279,47 @@ int run_chaos(int argc, char** argv) {
             injector.emplace(plan);
           }
 
-          const char* status = nullptr;
+          std::string_view status;
           std::string detail;
+          std::uint64_t spilled = 0;
           try {
             const RunOutcome run =
-                workload(seed, opt.nodes, options, injector ? &*injector : nullptr);
-            tally.spill_bytes += run.memory.spill_bytes;
+                wl.run(seed, opt.nodes, options, injector ? &*injector : nullptr);
+            spilled = run.memory.spill_bytes;
+            tally.spill_bytes += spilled;
             tally.backpressure_stalls += run.memory.backpressure_stalls;
-            if (run.digest == baseline.digest) {
-              status = "ok";
-              ++tally.completed;
-            } else {
-              status = "FAIL(digest)";
-              ++tally.failed;
-            }
+            status = run.digest == baseline.digest ? "ok" : "FAIL(digest)";
           } catch (const BudgetExceededError& e) {
             status = "typed(budget)";
             detail = e.what();
-            ++tally.typed_budget;
           } catch (const papar::Error& e) {
             status = "typed";
             detail = e.what();
-            ++tally.typed_other;
           } catch (const std::exception& e) {
             status = "FAIL(untyped)";
             detail = e.what();
-            ++tally.failed;
+          }
+          if (tier.name == "tight" && !(status == "ok" && spilled > 0)) {
+            status = "FAIL(tight tier did not spill and complete)";
+          } else if (tier.name == "tiny" && status != "typed(budget)") {
+            status = "FAIL(tiny tier did not fail on its budget)";
           }
           // Spill files must not outlive the run, success or failure.
-          if (!spill_dir_clean(cell_dir)) {
-            status = "FAIL(leaked spill files)";
+          if (!spill_dir_clean(cell_dir)) status = "FAIL(leaked spill files)";
+          if (status == "ok") {
+            ++tally.completed;
+          } else if (status == "typed(budget)") {
+            ++tally.typed_budget;
+          } else if (status == "typed") {
+            ++tally.typed_other;
+          } else {
             ++tally.failed;
           }
-          const bool failure = std::strncmp(status, "FAIL", 4) == 0;
-          if (opt.verbose || failure) {
-            std::fprintf(stderr, "%-24s %s seed=%llu faults=%-10s budget=%-8s (%zu B)%s%s\n",
-                         status, wl_name, static_cast<unsigned long long>(seed),
-                         plan_name, tier.name, tier.bytes,
+          if (opt.verbose || status.starts_with("FAIL")) {
+            std::fprintf(stderr, "%-24.*s %s seed=%llu faults=%-10s budget=%-8.*s (%zu B)%s%s\n",
+                         static_cast<int>(status.size()), status.data(), wl.name,
+                         static_cast<unsigned long long>(seed), plan_name,
+                         static_cast<int>(tier.name.size()), tier.name.data(), tier.bytes,
                          detail.empty() ? "" : " — ", detail.c_str());
           }
         }
@@ -326,9 +335,9 @@ int run_chaos(int argc, char** argv) {
   // ranks time-sharing 4 workers make real elapsed time meaningless as a
   // progress signal).
   const int soak_ranks = opt.quick ? 64 : 256;
-  for (const auto& [wl_name, workload] : workloads) {
+  for (const Workload& wl : workloads) {
     const std::uint64_t seed = 1;
-    const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
+    const RunOutcome baseline = wl.run(seed, opt.nodes, {}, nullptr);
     core::EngineOptions options;
     options.scheduler.workers = 4;
     options.scheduler.seed = seed;
@@ -338,7 +347,7 @@ int run_chaos(int argc, char** argv) {
     const char* status = nullptr;
     std::string detail;
     try {
-      const RunOutcome run = workload(seed, soak_ranks, options, &injector);
+      const RunOutcome run = wl.run(seed, soak_ranks, options, &injector);
       if (run.digest == baseline.digest) {
         status = "ok";
         ++tally.completed;
@@ -358,7 +367,7 @@ int run_chaos(int argc, char** argv) {
     const bool failure = std::strncmp(status, "FAIL", 4) == 0;
     if (opt.verbose || failure) {
       std::fprintf(stderr, "%-24s %s fiber-soak ranks=%d workers=4 faults=crash+drop%s%s\n",
-                   status, wl_name, soak_ranks,
+                   status, wl.name, soak_ranks,
                    detail.empty() ? "" : " — ", detail.c_str());
     }
   }
@@ -375,16 +384,16 @@ int run_chaos(int argc, char** argv) {
       opt.quick ? std::vector<double>{0.1, 0.5, 0.9}
                 : std::vector<double>{0.05, 0.3, 0.55, 0.8, 0.95};
   const int crash_rank = 1;
-  for (const auto& [wl_name, workload] : workloads) {
+  for (const Workload& wl : workloads) {
     const std::uint64_t seed = 1;
-    const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
+    const RunOutcome baseline = wl.run(seed, opt.nodes, {}, nullptr);
     // Benign injector (no faults drawn) to count the crash rank's events.
     mp::FaultPlan probe_plan = mp::FaultPlan::parse("seed=1");
     mp::FaultInjector probe_inj(probe_plan);
-    const RunOutcome probe = workload(seed, opt.nodes, {}, &probe_inj);
+    const RunOutcome probe = wl.run(seed, opt.nodes, {}, &probe_inj);
     const std::uint64_t total_events = probe_inj.event_count(crash_rank);
     if (probe.digest != baseline.digest || total_events == 0) {
-      std::fprintf(stderr, "FAIL %s recovery probe: %s\n", wl_name,
+      std::fprintf(stderr, "FAIL %s recovery probe: %s\n", wl.name,
                    total_events == 0 ? "no events on crash rank"
                                      : "probe digest mismatch");
       ++tally.failed;
@@ -404,7 +413,7 @@ int run_chaos(int argc, char** argv) {
         const char* status = nullptr;
         std::string detail;
         try {
-          const RunOutcome run = workload(seed, opt.nodes, options, &injector);
+          const RunOutcome run = wl.run(seed, opt.nodes, options, &injector);
           tally.rank_replays += run.faults.rank_replays;
           tally.segments_refetched += run.faults.segments_refetched;
           if (run.digest != baseline.digest) {
@@ -432,7 +441,7 @@ int run_chaos(int argc, char** argv) {
         const bool failure = std::strncmp(status, "FAIL", 4) == 0;
         if (opt.verbose || failure) {
           std::fprintf(stderr, "%-24s %s recovery=%-6s crash=%d@%llu (%.0f%%)%s%s\n",
-                       status, wl_name, mode_name, crash_rank,
+                       status, wl.name, mode_name, crash_rank,
                        static_cast<unsigned long long>(at), frac * 100.0,
                        detail.empty() ? "" : " — ", detail.c_str());
         }
@@ -464,7 +473,7 @@ int run_chaos(int argc, char** argv) {
         options.recovery.retention_limit = 1;
         options.recovery.retention_spill_dir = "/dev/null/papar-retention";
         try {
-          const RunOutcome run = workload(seed, opt.nodes, options, &injector);
+          const RunOutcome run = wl.run(seed, opt.nodes, options, &injector);
           evictions += run.faults.retention_evictions;
           degrades += run.faults.recoveries;
           if (run.digest != baseline.digest) {
@@ -493,7 +502,7 @@ int run_chaos(int argc, char** argv) {
       const bool failure = std::strncmp(status, "FAIL", 4) == 0;
       if (opt.verbose || failure) {
         std::fprintf(stderr, "%-24s %s recovery=local starved retention%s%s\n",
-                     status, wl_name, detail.empty() ? "" : " — ",
+                     status, wl.name, detail.empty() ? "" : " — ",
                      detail.c_str());
       }
     }
@@ -514,7 +523,7 @@ int run_chaos(int argc, char** argv) {
       const char* status = nullptr;
       std::string detail;
       try {
-        const RunOutcome run = workload(seed, soak_nranks, {}, &injector);
+        const RunOutcome run = wl.run(seed, soak_nranks, {}, &injector);
         tally.corruptions += run.faults.corruptions;
         if (run.digest != baseline.digest) {
           status = "FAIL(digest)";
@@ -538,7 +547,7 @@ int run_chaos(int argc, char** argv) {
       const bool failure = std::strncmp(status, "FAIL", 4) == 0;
       if (opt.verbose || failure) {
         std::fprintf(stderr, "%-24s %s corrupt=0.01 soak%s%s\n", status,
-                     wl_name, detail.empty() ? "" : " — ", detail.c_str());
+                     wl.name, detail.empty() ? "" : " — ", detail.c_str());
       }
     }
   }
@@ -559,9 +568,8 @@ int run_chaos(int argc, char** argv) {
                static_cast<unsigned long long>(tally.segments_refetched),
                static_cast<unsigned long long>(tally.retention_evictions),
                static_cast<unsigned long long>(tally.corruptions));
-  // The probe's high-water mark moves a little with scheduling, so whether
-  // a tight tier spills or throws varies run to run — but one of the two
-  // must happen, or the tiers stopped exercising the budget entirely.
+  // The tier checks above already demand both; this guards the matrix
+  // against losing its budgeted tiers altogether.
   if (tally.spill_bytes == 0 && tally.typed_budget == 0) {
     std::fprintf(stderr, "papar_chaos: FAIL — no cell engaged the spill or "
                          "budget-failure path; the tight tiers are not "

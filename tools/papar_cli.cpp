@@ -353,8 +353,8 @@ int run(int argc, char** argv) {
   if (!opt.trace_path.empty()) {
     const obs::TraceData graph = tracer.snapshot();
     obs::write_chrome_trace(opt.trace_path, graph, &recorder, &result.report);
-    std::fprintf(stderr, "papar: wrote %zu trace events + %zu spans to %s\n",
-                 graph.event_count(), recorder.span_count(), opt.trace_path.c_str());
+    std::fprintf(stderr, "papar: wrote %zu trace events to %s\n", graph.event_count(),
+                 opt.trace_path.c_str());
   }
   if (!opt.metrics_path.empty()) {
     std::ofstream out(opt.metrics_path, std::ios::binary | std::ios::trunc);
