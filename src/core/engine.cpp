@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <filesystem>
 #include <limits>
@@ -22,6 +23,9 @@ namespace {
 /// complete stages are released as the job advances (recovery only ever
 /// restores the latest complete stage).
 constexpr int kCheckpointKeepLast = 2;
+
+/// Runs started in this process, so each default spill directory is new.
+std::atomic<std::uint64_t> g_run_seq{0};
 
 std::string lower(std::string_view s) {
   std::string out(s);
@@ -456,6 +460,27 @@ PartitionResult WorkflowEngine::run(
     ckpt->set_keep_last(kCheckpointKeepLast);
   }
 
+  // Budget spill files and spilled retention segments go to the caller's
+  // spill_dir, else to a directory named for this run, so concurrent runs
+  // in one process never share it. The guard removes that one when the
+  // run ends, clean or not: its spill files are gone by then, and a
+  // retention spool the runtime keeps open stays readable once unlinked.
+  struct SpillDirGuard {
+    std::string dir;  // empty: the caller's directory, never removed
+    ~SpillDirGuard() {
+      std::error_code ec;
+      if (!dir.empty()) std::filesystem::remove_all(dir, ec);
+    }
+  } spill_dir_guard;
+  if (options_.spill_dir.empty()) {
+    spill_dir_guard.dir =
+        (std::filesystem::temp_directory_path() /
+         ("papar-spill-" + std::to_string(::getpid()) + "-" + std::to_string(g_run_seq++)))
+            .string();
+  }
+  const std::string& spill_dir =
+      options_.spill_dir.empty() ? spill_dir_guard.dir : options_.spill_dir;
+
   // Memory governance: a non-zero budget attaches a MemoryBudget for the
   // duration of this run — credit-capped mailboxes, soft-watermark spill in
   // the MapReduce phases, and typed BudgetExceededError past the hard limit.
@@ -465,12 +490,7 @@ PartitionResult WorkflowEngine::run(
     bcfg.hard_limit = options_.mem_budget;
     bcfg.soft_limit = options_.mem_budget / 5 * 4;
     bcfg.mailbox_limit = options_.mem_budget / 4;
-    bcfg.spill_dir =
-        !options_.spill_dir.empty()
-            ? options_.spill_dir
-            : (std::filesystem::temp_directory_path() /
-               ("papar-spill-" + std::to_string(::getpid())))
-                  .string();
+    bcfg.spill_dir = spill_dir;
     budget = std::make_unique<MemoryBudget>(std::move(bcfg));
   }
   struct BudgetGuard {
@@ -516,14 +536,7 @@ PartitionResult WorkflowEngine::run(
     recovery_guard.prev = runtime.recovery();
     recovery_guard.rt = &runtime;
     mp::RecoveryOptions ropts = options_.recovery;
-    if (ropts.retention_spill_dir.empty()) {
-      ropts.retention_spill_dir =
-          !options_.spill_dir.empty()
-              ? options_.spill_dir
-              : (std::filesystem::temp_directory_path() /
-                 ("papar-retention-" + std::to_string(::getpid())))
-                    .string();
-    }
+    if (ropts.retention_spill_dir.empty()) ropts.retention_spill_dir = spill_dir;
     runtime.set_recovery(std::move(ropts));
   }
 

@@ -48,9 +48,10 @@ struct EngineOptions {
   /// genuinely cannot fit fail with a typed BudgetExceededError naming the
   /// rank, stage, and high-water mark — never an OOM kill, never a hang.
   std::size_t mem_budget = 0;
-  /// Spill directory for budget-governed runs; empty picks a per-process
-  /// directory under the system temp dir. Spill files are removed as soon
-  /// as each operation completes.
+  /// Spill directory for budget-governed runs; empty picks a directory
+  /// under the system temp dir named for the run, which the run removes
+  /// when it ends. Spill files are removed as soon as each operation
+  /// completes.
   std::string spill_dir;
   /// How the rank fibers are scheduled: worker-pool size (`--workers K`,
   /// default hardware concurrency) and run-queue seed (DESIGN.md §13).

@@ -243,15 +243,18 @@ void group_op(mp::Comm& comm, Dataset& ds, const GroupArgs& args) {
   mr.mutable_local() = std::move(ds.page);
 
   // Co-locate equal keys: records travel as they are, routed by the hash of
-  // their group field's raw bytes, and reduce() groups by those bytes.
+  // their group field's value bytes — the bytes graphVertexCut hashes, so
+  // when P divides numPartitions (h mod N mod P = h mod P) a low-degree
+  // group is reduced on the rank that owns its partition. reduce() groups
+  // and orders by the field's wire bytes.
   const schema::Schema in_schema = ds.schema;
   const auto key_of = [&in_schema, key_field](std::string_view value) {
     const auto [off, len] = field_range(in_schema, value, key_field);
     return value.substr(off, len);
   };
-  mr.aggregate([&key_of, p = static_cast<std::uint64_t>(comm.size())](
+  mr.aggregate([&in_schema, key_field, p = static_cast<std::uint64_t>(comm.size())](
                    std::string_view, std::string_view value) {
-    return static_cast<int>(key_hash(key_of(value)) % p);
+    return static_cast<int>(key_hash(field_value(in_schema, value, key_field)) % p);
   });
 
   const bool packed_out = args.output_format == DataFormat::kPacked;
@@ -502,6 +505,10 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
     ctx.num_partitions = args.num_partitions;
     ctx.global_total = entry_total;
     ctx.dataset = &ds;
+    // The shipped key is [partition][stamp], or only [partition] under
+    // content stamps: the receiver recomputes those from each record.
+    const std::size_t ship_key_bytes =
+        content_stamps ? sizeof(std::uint32_t) : sizeof(std::uint32_t) + sizeof(std::uint64_t);
     ds.page.for_each([&](std::string_view, std::string_view value) {
       ctx.global_index = entry_idx;
       ctx.value = value;
@@ -511,7 +518,7 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
       const std::uint64_t stamp = stamp_base + record_idx;
       std::memcpy(keybuf, &part32, sizeof(part32));
       std::memcpy(keybuf + sizeof(part32), &stamp, sizeof(stamp));
-      mr.mutable_local().add(std::string_view(keybuf, sizeof(keybuf)), value);
+      mr.mutable_local().add(std::string_view(keybuf, ship_key_bytes), value);
       record_idx +=
           ds.format == DataFormat::kPacked ? group_size(value) : 1;
       ++entry_idx;
@@ -533,9 +540,9 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
     mr.mutable_local().for_each([&](std::string_view key, std::string_view value) {
       std::uint32_t partition;
-      std::uint64_t stamp;
+      std::uint64_t stamp = 0;
       std::memcpy(&partition, key.data(), sizeof(partition));
-      std::memcpy(&stamp, key.data() + sizeof(partition), sizeof(stamp));
+      if (!content_stamps) std::memcpy(&stamp, key.data() + sizeof(partition), sizeof(stamp));
       std::uint64_t member = 0;
       auto emit_record = [&](std::string_view rec) {
         std::string_view out_rec = rec;

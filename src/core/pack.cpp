@@ -61,6 +61,16 @@ std::pair<std::size_t, std::size_t> field_range(const schema::Schema& schema,
   return {begin, r.position() - begin};
 }
 
+std::string_view field_value(const schema::Schema& schema, std::string_view wire,
+                             std::size_t index) {
+  auto [off, len] = field_range(schema, wire, index);
+  if (schema.field(index).type == schema::FieldType::kString) {
+    off += sizeof(std::uint32_t);
+    len -= sizeof(std::uint32_t);
+  }
+  return wire.substr(off, len);
+}
+
 std::string encode_group(const schema::Schema& schema, std::size_t key_field,
                          std::span<const std::string_view> records, bool compress) {
   PAPAR_CHECK_MSG(!records.empty(), "cannot pack an empty group");

@@ -53,6 +53,13 @@ std::pair<std::size_t, std::size_t> field_range(const schema::Schema& schema,
                                                 std::string_view wire,
                                                 std::size_t index);
 
+/// A field's value bytes: its wire bytes, less a string's u32 length
+/// prefix. The group shuffle and graphVertexCut both hash these, so a
+/// vertex's group is reduced on the rank that owns its partition whenever
+/// the rank count divides the partition count.
+std::string_view field_value(const schema::Schema& schema, std::string_view wire,
+                             std::size_t index);
+
 /// View of the first record of a packed group. Plain groups return a view
 /// into `packed`; compressed groups reconstruct into `scratch` (the view is
 /// valid while `scratch` lives and is unmodified).

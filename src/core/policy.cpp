@@ -23,10 +23,9 @@ std::string_view distr_policy_name(DistrPolicyKind kind) {
 
 namespace {
 
-/// Semantic bytes of field `index` of the first record in an entry (record
-/// or packed group), used as the hash subject for graphVertexCut. For
-/// string fields the u32 length prefix is stripped so the hash depends only
-/// on the field's value.
+/// Value bytes (field_value) of field `index` of the first record in an
+/// entry (record or packed group), used as the hash subject for
+/// graphVertexCut.
 std::string_view entry_field_bytes(const Dataset& ds, std::string_view value,
                                    std::size_t index, std::string& scratch) {
   std::string_view wire;
@@ -35,12 +34,7 @@ std::string_view entry_field_bytes(const Dataset& ds, std::string_view value,
   } else {
     wire = group_head(ds.schema, ds.group_key_field.value_or(0), value, scratch);
   }
-  auto [off, len] = field_range(ds.schema, wire, index);
-  if (ds.schema.field(index).type == schema::FieldType::kString) {
-    off += sizeof(std::uint32_t);
-    len -= sizeof(std::uint32_t);
-  }
-  return wire.substr(off, len);
+  return field_value(ds.schema, wire, index);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "obs/obs.hpp"
 
@@ -43,18 +44,18 @@ CriticalPath critical_path(const TraceData& trace) {
   for (const auto& rank_events : trace.per_rank) {
     for (const auto& e : rank_events) final_attempt = std::max(final_attempt, e.attempt);
   }
+  // Message and barrier edges are keyed by id, not indexed: ids come from a
+  // trace file, and their size says nothing about the trace's.
   std::vector<std::vector<const TraceEvent*>> ev(trace.per_rank.size());
-  std::vector<const TraceEvent*> send_by_id;
-  std::vector<std::vector<const TraceEvent*>> barriers;  // by generation
+  std::unordered_map<std::uint64_t, const TraceEvent*> send_by_id;
+  std::unordered_map<std::uint64_t, std::vector<const TraceEvent*>> barriers;  // by generation
   for (std::size_t r = 0; r < trace.per_rank.size(); ++r) {
     for (const auto& e : trace.per_rank[r]) {
       if (e.attempt != final_attempt || e.kind == TraceEventKind::kSpan) continue;
       ev[r].push_back(&e);
       if (e.kind == TraceEventKind::kSend && e.msg_id != 0) {
-        if (send_by_id.size() <= e.msg_id) send_by_id.resize(e.msg_id + 1, nullptr);
         send_by_id[e.msg_id] = &e;
       } else if (e.kind == TraceEventKind::kBarrier) {
-        if (barriers.size() <= e.barrier_gen) barriers.resize(e.barrier_gen + 1);
         barriers[e.barrier_gen].push_back(&e);
       }
     }
@@ -121,8 +122,8 @@ CriticalPath critical_path(const TraceData& trace) {
         t = e.begin;
         break;
       case TraceEventKind::kRecv: {
-        const TraceEvent* s =
-            e.msg_id < send_by_id.size() ? send_by_id[e.msg_id] : nullptr;
+        const auto sent = send_by_id.find(e.msg_id);
+        const TraceEvent* s = sent != send_by_id.end() ? sent->second : nullptr;
         if (e.blocked > kEps && s != nullptr && s->end < t - kEps) {
           // The receiver sat waiting for this payload, so the path runs
           // through the message edge: attribute the flight (wire latency +
@@ -143,10 +144,8 @@ CriticalPath critical_path(const TraceData& trace) {
         // The barrier resolved at last-arrival + tree latency; the path
         // runs through the straggler.
         const TraceEvent* last = &e;
-        if (e.barrier_gen < barriers.size()) {
-          for (const TraceEvent* cand : barriers[e.barrier_gen]) {
-            if (cand->begin > last->begin) last = cand;
-          }
+        for (const TraceEvent* cand : barriers[e.barrier_gen]) {
+          if (cand->begin > last->begin) last = cand;
         }
         attribute(PathKind::kBarrier, last->rank, last->stage, last->begin, t);
         rank = last->rank;

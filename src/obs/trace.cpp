@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -204,13 +205,10 @@ std::string to_chrome_trace(const TraceData& trace, const Recorder* recorder,
   // Event slices + message flow arrows. A flow is emitted only when both
   // ends of the edge were recorded ("s" on the sender at the send slice's
   // end, "f" with bp:"e" on the receiver at the recv slice's end).
-  std::vector<const TraceEvent*> recvs_by_msg;
+  std::unordered_map<std::uint64_t, const TraceEvent*> recvs_by_msg;
   for (const auto& rank_events : trace.per_rank) {
     for (const auto& e : rank_events) {
-      if (e.kind == TraceEventKind::kRecv && e.msg_id != 0) {
-        if (recvs_by_msg.size() <= e.msg_id) recvs_by_msg.resize(e.msg_id + 1, nullptr);
-        recvs_by_msg[e.msg_id] = &e;
-      }
+      if (e.kind == TraceEventKind::kRecv && e.msg_id != 0) recvs_by_msg[e.msg_id] = &e;
     }
   }
   // One track's complete slices as (start, JSON). A stage or span slice is
@@ -268,9 +266,9 @@ std::string to_chrome_trace(const TraceData& trace, const Recorder* recorder,
                                                          : "send";
       slice(e.begin, e.end, name, send || e.kind == TraceEventKind::kRecv ? "comm" : "barrier",
             args.str());
-      if (send && e.msg_id != 0 && e.msg_id < recvs_by_msg.size() &&
-          recvs_by_msg[e.msg_id] != nullptr) {
-        const TraceEvent& rcv = *recvs_by_msg[e.msg_id];
+      const auto received = send ? recvs_by_msg.find(e.msg_id) : recvs_by_msg.end();
+      if (received != recvs_by_msg.end()) {
+        const TraceEvent& rcv = *received->second;
         sep();
         os << "{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":" << e.msg_id
            << ",\"pid\":1,\"tid\":" << r << ",\"ts\":" << fmt(e.end * 1e6) << "}";

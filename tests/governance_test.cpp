@@ -3,6 +3,7 @@
 // simulated runtime, allocation-failure injection, engine-level budgeted
 // runs, and the checkpoint/spill file lifecycle.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -500,6 +501,40 @@ TEST(EngineGovernance, BudgetedRunIsByteIdenticalAndReportsMemory) {
   EXPECT_TRUE(!std::filesystem::exists(dir) ||
               std::filesystem::is_empty(dir));
   std::filesystem::remove_all(dir);
+}
+
+TEST(EngineGovernance, DefaultSpillDirectoryLeavesNothingBehind) {
+  // Without a spill directory, each budgeted run spills into one named for
+  // that run under the temp dir and removes it when it ends, even while
+  // another run in the process still spills into its own.
+  const std::string content = pairs_content(12000, 77);
+  const auto plain = run_sort_workflow(content, {});
+  core::EngineOptions probe;
+  probe.mem_budget = std::size_t{1} << 30;
+  const auto probed = run_sort_workflow(content, probe);
+  core::EngineOptions tight;
+  tight.mem_budget =
+      std::max<std::size_t>(probed.report.memory.high_water_bytes / 4, 1024);
+  std::vector<core::PartitionResult> governed(2);
+  {
+    std::vector<std::thread> runs;
+    for (auto& result : governed) {
+      runs.emplace_back([&] { result = run_sort_workflow(content, tight); });
+    }
+    for (auto& t : runs) t.join();
+  }
+  for (const auto& result : governed) {
+    EXPECT_EQ(result.partitions, plain.partitions);
+    EXPECT_GT(result.report.memory.spill_bytes, 0u);
+  }
+  const std::string pid = std::to_string(::getpid());
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::temp_directory_path())) {
+    const std::string name = entry.path().filename().string();
+    for (const std::string prefix : {"papar-spill-" + pid, "papar-retention-" + pid}) {
+      EXPECT_FALSE(name == prefix || name.starts_with(prefix + "-")) << entry.path();
+    }
+  }
 }
 
 TEST(EngineGovernance, MemoryStatsRoundTripThroughStageReportJson) {

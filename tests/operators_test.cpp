@@ -202,9 +202,9 @@ std::vector<Record> group_key_records(std::size_t n, std::uint64_t seed) {
 }
 
 /// group_op's page on `rank`, built on the host: the records whose
-/// vertex_b bytes hash to `rank`, in (source rank, page) order, stably
-/// sorted by those bytes, then extended by their group's count — record by
-/// record, or packed per group.
+/// vertex_b value bytes (no length prefix) hash to `rank`, in (source rank,
+/// page) order, stably sorted by the field's wire bytes, then extended by
+/// their group's count — record by record, or packed per group.
 std::vector<unsigned char> group_reference(const Schema& s, const std::vector<Record>& recs,
                                            int rank, int nranks, const GroupArgs& args) {
   Schema out_schema = s;
@@ -216,7 +216,7 @@ std::vector<unsigned char> group_reference(const Schema& s, const std::vector<Re
       std::string wire = recs[i].encode(s);
       const auto [off, len] = field_range(s, wire, 1);
       std::string key = wire.substr(off, len);
-      if (key_hash(key) % static_cast<std::uint64_t>(nranks) ==
+      if (key_hash(key.substr(sizeof(std::uint32_t))) % static_cast<std::uint64_t>(nranks) ==
           static_cast<std::uint64_t>(rank)) {
         mine.emplace_back(std::move(key), std::move(wire));
       }
@@ -550,6 +550,122 @@ TEST(Operators, DistributeGraphVertexCutPlacesGroupsWhole) {
       EXPECT_EQ(parts.size(), 1u) << "vertex " << v << " was split";
     }
   });
+}
+
+/// Edges into 60 in-vertices: in-degree 1–7, and 30 for every tenth vertex.
+std::vector<Record> skewed_edges() {
+  std::vector<Record> edges;
+  Rng rng(19);
+  for (int v = 0; v < 60; ++v) {
+    const int degree = v % 10 == 0 ? 30 : v % 7 + 1;
+    for (int e = 0; e < degree; ++e) {
+      edges.emplace_back(std::vector<Value>{"s" + std::to_string(rng.next_below(500)),
+                                            "v" + std::to_string(v)});
+    }
+  }
+  return edges;
+}
+
+/// hybrid-cut's group and split on one rank: output 0 holds the unpacked
+/// edges of in-vertices with in-degree >= 10, output 1 the packed groups of
+/// the rest.
+std::vector<Dataset> group_and_split(mp::Comm& comm, const std::vector<Record>& edges,
+                                     bool compress) {
+  Dataset ds = slice_of(edge_schema(), edges, comm.rank(), comm.size());
+  GroupArgs gargs;
+  gargs.key = "vertex_b";
+  gargs.addon = AddOnSpec{AddOnKind::kCount, "", "indegree"};
+  gargs.compress = compress;
+  group_op(comm, ds, gargs);
+  SplitArgs sargs;
+  sargs.key = "indegree";
+  sargs.conditions = {parse_split_condition("{>=, 10}"), parse_split_condition("{<, 10}")};
+  sargs.output_formats = {DataFormat::kOrig, std::nullopt};
+  return split_op(comm, std::move(ds), sargs);
+}
+
+TEST(GroupPlacement, LowDegreeGroupsStayOnTheirRank) {
+  // group_op routes by the hash graphVertexCut places a packed group by,
+  // so when the rank count divides the partition count every packed group
+  // is already on the rank that owns its partition: distribute ships none,
+  // and compressing them cannot change the bytes that cross the fabric.
+  const std::vector<Record> edges = skewed_edges();
+  constexpr std::size_t kPartitions = 8;
+  for (const int p : {4, 8}) {
+    SCOPED_TRACE(testing::Message() << p << " ranks");
+    std::uint64_t remote[2] = {0, 0};
+    std::uint64_t packed_bytes[2] = {0, 0};
+    for (const bool compress : {false, true}) {
+      std::vector<std::uint64_t> rank_packed(static_cast<std::size_t>(p), 0);
+      std::vector<std::size_t> misplaced(static_cast<std::size_t>(p), 0);
+      mp::Runtime rt(p, mp::NetworkModel::zero());
+      const auto stats = rt.run([&](mp::Comm& comm) {
+        auto outs = group_and_split(comm, edges, compress);
+        const auto r = static_cast<std::size_t>(comm.rank());
+        PlacementContext ctx;
+        ctx.num_partitions = kPartitions;
+        ctx.dataset = &outs[1];
+        outs[1].page.for_each([&](std::string_view, std::string_view value) {
+          ctx.value = value;
+          const std::size_t owner =
+              place_entry(DistrPolicyKind::kGraphVertexCut, ctx) % static_cast<std::size_t>(p);
+          if (owner != r) ++misplaced[r];
+          rank_packed[r] += value.size();
+        });
+        std::vector<Dataset*> inputs{&outs[0], &outs[1]};
+        DistributeArgs args;
+        args.policy = DistrPolicyKind::kGraphVertexCut;
+        args.num_partitions = kPartitions;
+        args.output_schema = edge_schema();
+        (void)distribute_op(comm, inputs, args);
+      });
+      for (int r = 0; r < p; ++r) {
+        EXPECT_EQ(misplaced[static_cast<std::size_t>(r)], 0u) << "rank " << r;
+        packed_bytes[compress] += rank_packed[static_cast<std::size_t>(r)];
+      }
+      remote[compress] = stats.remote_bytes;
+    }
+    // Compression did shrink the packed groups, yet moved no byte less.
+    EXPECT_LT(packed_bytes[1], packed_bytes[0]);
+    EXPECT_EQ(remote[1], remote[0]);
+  }
+}
+
+TEST(Operators, GraphVertexCutShipsOnlyThePartitionKey) {
+  // Content stamps are recomputed from each record on arrival, so every
+  // frame distribute ships is the 8-byte header, the u32 partition and the
+  // entry's value bytes.
+  const std::vector<Record> edges = skewed_edges();
+  constexpr int kRanks = 3;
+  std::vector<std::vector<Dataset>> split(kRanks);
+  mp::Runtime rt(kRanks, mp::NetworkModel::zero());
+  rt.run([&](mp::Comm& comm) {
+    split[static_cast<std::size_t>(comm.rank())] = group_and_split(comm, edges, true);
+  });
+  std::uint64_t expected = 0;
+  std::size_t packed_entries = 0;
+  for (const auto& outs : split) {
+    for (const auto& ds : outs) {
+      ds.page.for_each([&](std::string_view, std::string_view value) {
+        expected += 2 * sizeof(std::uint32_t) + sizeof(std::uint32_t) + value.size();
+      });
+    }
+    packed_entries += outs[1].page.count();
+  }
+  ASSERT_GT(packed_entries, 0u);
+  obs::Recorder recorder;
+  rt.set_recorder(&recorder);
+  rt.run([&](mp::Comm& comm) {
+    auto& outs = split[static_cast<std::size_t>(comm.rank())];
+    std::vector<Dataset*> inputs{&outs[0], &outs[1]};
+    DistributeArgs args;
+    args.policy = DistrPolicyKind::kGraphVertexCut;
+    args.num_partitions = 5;
+    args.output_schema = edge_schema();
+    (void)distribute_op(comm, inputs, args);
+  });
+  rt.set_recorder(nullptr);
+  EXPECT_EQ(recorder.counter("mr.shuffle.wire_bytes"), expected);
 }
 
 TEST(Operators, PackUnpackRoundTrip) {

@@ -139,6 +139,59 @@ TEST(CriticalPath, BarrierHopsToStraggler) {
   EXPECT_DOUBLE_EQ(path.segments[2].end, 3.0);
 }
 
+// Message and barrier ids read from a trace file can be any u64: the
+// analyses key their edges by id, so a huge id costs no memory.
+TEST(CriticalPath, HugeIdsKeyTheirEdges) {
+  constexpr std::uint64_t kId = 1'000'000'000'000'000;
+  TraceData trace;
+  trace.nranks = 2;
+  trace.stages = {"", "load"};
+  trace.per_rank.resize(2);
+  TraceEvent send = make_event(TraceEventKind::kSend, 0, 1, 1.0, 1.2);
+  send.peer = 1;
+  send.bytes = 64;
+  send.msg_id = kId;
+  trace.per_rank[0].push_back(send);
+  TraceEvent recv = make_event(TraceEventKind::kRecv, 1, 1, 0.4, 1.5);
+  recv.peer = 0;
+  recv.bytes = 64;
+  recv.msg_id = kId;
+  recv.sender_stage = 1;
+  recv.blocked = 1.0;
+  trace.per_rank[1].push_back(recv);
+  const double arrive[2] = {1.3, 1.6};
+  for (int r = 0; r < 2; ++r) {
+    TraceEvent b = make_event(TraceEventKind::kBarrier, r, 1, arrive[r], 1.7);
+    b.barrier_gen = kId;
+    trace.per_rank[static_cast<std::size_t>(r)].push_back(b);
+    trace.per_rank[static_cast<std::size_t>(r)].push_back(
+        make_event(TraceEventKind::kRankDone, r, 1, 1.7, 1.7));
+  }
+
+  // The path runs back through the barrier's straggler (rank 1) and the
+  // message edge onto rank 0.
+  const CriticalPath path = critical_path(trace);
+  EXPECT_DOUBLE_EQ(path.total, 1.7);
+  EXPECT_DOUBLE_EQ(path.attributed(), 1.7);
+  ASSERT_EQ(path.segments.size(), 5u);
+  EXPECT_EQ(path.segments[2].kind, PathKind::kComm);
+  EXPECT_EQ(path.segments[2].rank, 1);
+  EXPECT_DOUBLE_EQ(path.segments[2].begin, 1.2);
+  EXPECT_EQ(path.segments[4].kind, PathKind::kBarrier);
+  EXPECT_EQ(path.segments[4].rank, 1);
+  EXPECT_DOUBLE_EQ(path.segments[4].begin, 1.6);
+
+  // The Chrome export draws the one message arrow under that id.
+  const json::Value doc = json::parse(to_chrome_trace(trace, nullptr, nullptr));
+  std::vector<std::pair<std::string, double>> flows;
+  for (const json::Value& e : doc.at("traceEvents").array) {
+    const std::string& ph = e.at("ph").string;
+    if (ph == "s" || ph == "f") flows.emplace_back(ph, e.at("id").number);
+  }
+  const std::vector<std::pair<std::string, double>> want{{"s", 1e15}, {"f", 1e15}};
+  EXPECT_EQ(flows, want);
+}
+
 // A recv whose payload was already waiting (blocked == 0) keeps the path on
 // the receiver: only the clock-in is comm, no hop to the sender.
 TEST(CriticalPath, UnblockedRecvStaysOnReceiver) {
@@ -377,12 +430,14 @@ TEST_F(TracedRun, ChromeTraceSchema) {
   ASSERT_EQ(events.kind, json::Value::Kind::kArray);
   ASSERT_FALSE(events.array.empty());
 
-  std::multiset<std::string> starts, finishes;
+  std::multiset<double> starts, finishes;  // flow ids, written as numbers
   std::map<double, double> last_ts;  // tid -> last complete-event ts
   for (const json::Value& e : events.array) {
     const std::string& ph = e.at("ph").string;
-    if (ph == "s") starts.insert(e.at("id").string);
-    if (ph == "f") finishes.insert(e.at("id").string);
+    if (ph == "s" || ph == "f") {
+      ASSERT_EQ(e.at("id").kind, json::Value::Kind::kNumber);
+      (ph == "s" ? starts : finishes).insert(e.at("id").number);
+    }
     if (ph == "X") {
       const double tid = e.at("tid").number;
       const double ts = e.at("ts").number;

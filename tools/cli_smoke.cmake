@@ -42,6 +42,36 @@ if(NOT total EQUAL 500)
   message(FATAL_ERROR "partitions hold ${total} edges, expected 500")
 endif()
 
+# Placement never changes partitions: on 3 nodes the group shuffle's ranks
+# no longer line up with graphVertexCut's 4 partitions, so low-degree groups
+# travel in distribute, and every part file must still equal the 4-node one.
+execute_process(
+  COMMAND "${PAPAR_CLI}"
+          --input-config "${CONFIG_DIR}/graph_edge.xml"
+          --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+          --arg input_file=edges.txt
+          --arg output_path=${WORK_DIR}/parts-3nodes/graph
+          --arg num_partitions=4
+          --arg threshold=15
+          --file edges.txt=${WORK_DIR}/edges.txt
+          --nodes 3
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "papar CLI failed on 3 nodes (${rc}): ${out} ${err}")
+endif()
+foreach(p RANGE 0 3)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files
+            "${WORK_DIR}/parts/graph.${p}" "${WORK_DIR}/parts-3nodes/graph.${p}"
+    RESULT_VARIABLE same)
+  if(NOT same EQUAL 0)
+    message(FATAL_ERROR "partition graph.${p} differs between the 4-node and "
+                        "3-node runs")
+  endif()
+endforeach()
+
 # Same workflow under an injected crash plus a lossy fabric: the run must
 # recover and write partitions byte-identical to the fault-free run above.
 execute_process(
